@@ -3,9 +3,10 @@
 The list: soc-LiveJournal1 generated in the process with ``g-pr``, and three
 Matrix-Market files the benchmark writes from seed-generated graphs into a
 temporary directory inside the checkout — soc-LiveJournal1 with ``g-pr``,
-roadNet-CA with ``g-hkdw`` and GL7d19 with ``hk``.  Each process pays
-interpreter start, ``import repro.cli``, graph generation or parse, the
-solve and JSON encoding, which is what a CLI user waits for.
+roadNet-CA with ``g-hkdw`` and GL7d19 with ``hk``.  Every command runs on a
+graph of its own, generated from a seed derived from the run's.  Each
+process pays interpreter start, ``import repro.cli``, graph generation or
+parse, the solve and JSON encoding, which is what a CLI user waits for.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from perfbench.common import (
     DeviceRecorder,
     Outcome,
     add_solve,
+    best,
     children_peak_rss_mb,
     fill_per_layer,
     geomean,
@@ -43,7 +45,7 @@ from repro.graph.io import read_matrix_market, write_matrix_market
 from repro.seq.verify import is_valid_matching
 
 PROFILE = "large"
-INPUT_SETS = 6
+INPUT_SETS = 3
 SETUP_PROBES = 5
 IMPORT_CODE = "import repro.cli"
 #: (graph, algorithm, read from a written .mtx.gz?)
@@ -84,27 +86,26 @@ def remove_scratch(path: str) -> None:
         pass  # another run still uses it
 
 
-def prepare_inputs(seed: int, directory: str, profile: str = PROFILE):
-    """Generate one input set: the commands, and per (graph, seed) the
-    cardinality and edge count computed in-process with HK.
+def prepare_inputs(seeds: list[int], directory: str, profile: str = PROFILE):
+    """Generate one input set: command *i* of the list runs on its own graph,
+    generated with ``seeds[i]``, whose cardinality and edge count are computed
+    in-process with HK.
 
-    Each graph is generated once; those the list reads from disk are written
-    to ``directory`` as ``.mtx.gz``.  Returns the commands, the expected
-    outputs and the problems found validating the reference matchings.
+    Graphs the list reads from disk are written to ``directory`` as
+    ``.mtx.gz``.  Returns the commands, the expected outputs and the problems
+    found validating the reference matchings.
     """
-    expected, problems, paths = {}, [], {}
-    for name in dict.fromkeys(graph for graph, _, _ in COMMANDS):
+    expected, problems, commands = {}, [], []
+    for (name, algorithm, from_file), seed in zip(COMMANDS, seeds, strict=True):
         graph = generate_instance(name, profile=profile, seed=seed)
         result = resolve_algorithm("hk").run(graph)
         if not is_valid_matching(graph, result.matching):
             problems.append(f"in-process HK on {name}/{seed}: invalid matching")
         expected[name, seed] = (result.cardinality, graph.n_edges)
-        if any(g == name and from_file for g, _, from_file in COMMANDS):
-            paths[name] = str(Path(directory) / f"{name}_{profile}_{seed}.mtx.gz")
-            write_matrix_market(graph, paths[name])
-    commands = []
-    for name, algorithm, from_file in COMMANDS:
-        mtx = paths[name] if from_file else None
+        mtx = None
+        if from_file:
+            mtx = str(Path(directory) / f"{name}_{profile}_{seed}.mtx.gz")
+            write_matrix_market(graph, mtx)
         source = ["--mtx", mtx] if mtx else ["--graph", name]
         argv = [sys.executable, "-m", "repro.cli", "run", *source, "--algorithm", algorithm,
                 "--profile", profile, "--seed", str(seed)]
@@ -134,8 +135,10 @@ def measure(seed: int, seconds: float, *, profile: str = PROFILE) -> Outcome:
     directory = scratch_dir()
     try:
         sets, expected = [], {}
-        for input_seed in input_seeds(seed, INPUT_SETS):
-            commands, set_expected, problems = prepare_inputs(input_seed, directory, profile)
+        seeds = input_seeds(seed, INPUT_SETS * len(COMMANDS))
+        for k in range(INPUT_SETS):
+            set_seeds = seeds[k * len(COMMANDS):(k + 1) * len(COMMANDS)]
+            commands, set_expected, problems = prepare_inputs(set_seeds, directory, profile)
             sets.append(commands)
             expected.update(set_expected)
             out.tally(problems, len(set_expected))
@@ -168,21 +171,22 @@ def measure(seed: int, seconds: float, *, profile: str = PROFILE) -> Outcome:
     finally:
         remove_scratch(directory)
 
-    # Each command's time is its median over the passes that ran it.
-    command_ms = [median(w) for w in walls.values()]
-    typical_pass = sum(command_ms) / len(sets) / 1e3
+    # Each command's time is its best over the passes that ran it
+    # (see ``best``).
+    command_ms = {label: best(w) for label, w in walls.items()}
+    typical_pass = sum(command_ms.values()) / len(sets) / 1e3
     # Latency percentiles over the list's commands, each the median over the
     # input sets: the raw walls form one cluster per command, and a
     # percentile between two clusters would jump with the slightest shift.
     list_ms = [
-        median(median(walls[commands[i].label]) for commands in sets)
+        median(command_ms[commands[i].label] for commands in sets)
         for i in range(len(COMMANDS))
     ]
     edges = sum(expected[c.graph, c.seed][1] for c in everything) / len(sets)
 
     def solve_geomean_ms(algorithm):
         return geomean(
-            median(solve_walls[c.label])
+            best(solve_walls[c.label])
             for c in everything
             if c.algorithm == algorithm and solve_walls[c.label]
         )
@@ -246,7 +250,8 @@ def measure_traced(seed: int, seconds: float, *, profile: str = PROFILE) -> Outc
     out = Outcome("oneshot-cli")
     directory = scratch_dir()
     try:
-        commands, expected, problems = prepare_inputs(seed, directory, profile)
+        seeds = input_seeds(seed, len(COMMANDS))
+        commands, expected, problems = prepare_inputs(seeds, directory, profile)
         out.tally(problems, len(expected))
         devices = DeviceRecorder()
         tracer, records, untraced_s, traced_s = traced_replays(

@@ -18,6 +18,7 @@ from perfbench.common import (
     DeviceRecorder,
     Outcome,
     add_solve,
+    best,
     fill_per_layer,
     geomean,
     input_seeds,
@@ -36,7 +37,7 @@ from repro.seq.verify import is_valid_matching
 
 PROFILE = "small"
 INPUT_SETS = 2
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 _SETUP_CODE = (
     "from repro.core.api import resolve_algorithm\n"
     "from repro.generators.suite import generate_instance\n"
@@ -154,10 +155,9 @@ def measure(seed: int, seconds: float, *, profile=PROFILE, names=None) -> Outcom
         passes += 1
         del run
 
-    # Each unit's time is its median over the passes that ran it, which
-    # keeps the bursts of a shared machine out of the figures.
-    typical_pass = sum(median(walls) for walls in inst_walls.values()) / len(seeds)
-    solve_ms = {key: median(walls) for key, walls in solve_walls.items()}
+    # Each unit's time is its best over the passes that ran it (see ``best``).
+    typical_pass = sum(best(walls) for walls in inst_walls.values()) / len(seeds)
+    solve_ms = {key: best(walls) for key, walls in solve_walls.items()}
 
     def algo_geomean_ms(algorithm):
         return geomean(ms for (_, _, algo), ms in solve_ms.items() if algo == algorithm)
