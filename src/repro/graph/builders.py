@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 
+def _strictly_col_major(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the pairs are strictly (col, row)-sorted, hence also unique."""
+    col_steps = np.diff(cols)
+    return bool(((col_steps > 0) | ((col_steps == 0) & (np.diff(rows) > 0))).all())
+
+
 def _csr_from_pairs(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -42,21 +48,27 @@ def _csr_from_pairs(
         out_weights = np.empty(0, dtype=np.float64) if weights is not None else None
         return col_ptr, empty, row_ptr, empty.copy(), out_weights
 
-    # Deduplicate: sort by (col, row) lexicographically and drop repeats.
-    order = np.lexsort((rows, cols))
-    rows = rows[order]
-    cols = cols[order]
-    keep = np.empty(len(rows), dtype=bool)
-    keep[0] = True
-    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     out_weights = None
-    if weights is not None:
-        # Reduce each run of duplicates to its maximum weight.
-        out_weights = np.maximum.reduceat(
-            np.asarray(weights, dtype=np.float64)[order], np.flatnonzero(keep)
-        )
-    rows = rows[keep]
-    cols = cols[keep]
+    if _strictly_col_major(rows, cols):
+        # The canonicalising sort would be a no-op: files written by
+        # write_matrix_market list their entries in this order.
+        if weights is not None:
+            out_weights = np.array(weights, dtype=np.float64)
+    else:
+        # Deduplicate: sort by (col, row) lexicographically and drop repeats.
+        order = np.lexsort((rows, cols))
+        rows = rows[order]
+        cols = cols[order]
+        keep = np.empty(len(rows), dtype=bool)
+        keep[0] = True
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if weights is not None:
+            # Reduce each run of duplicates to its maximum weight.
+            out_weights = np.maximum.reduceat(
+                np.asarray(weights, dtype=np.float64)[order], np.flatnonzero(keep)
+            )
+        rows = rows[keep]
+        cols = cols[keep]
 
     col_counts = np.bincount(cols, minlength=n_cols)
     col_ptr = np.zeros(n_cols + 1, dtype=np.int64)

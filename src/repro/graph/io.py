@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterable, Iterator
@@ -54,6 +55,22 @@ _SUPPORTED_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 #: Entries parsed per chunk by :class:`MatrixMarketStream`; bounds the
 #: reader's working set at a few MiB regardless of file size.
 DEFAULT_CHUNK_ENTRIES = 1 << 17
+
+#: Characters per ``read`` when splitting the entry section into lines.
+_BLOCK_CHARS = 1 << 16
+
+#: Record layout of one ``row col value`` entry line for the bulk parse.
+_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+# The bulk parse relies on np.loadtxt refusing "1.0" as an integer field;
+# NumPy releases that still parse it (with a DeprecationWarning) go per line.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        np.loadtxt(["1.0"], dtype=np.int64)
+        _BULK_PARSE = False
+    except ValueError:
+        _BULK_PARSE = True
 
 
 def _open_text(path: str | Path, mode: str = "rt") -> TextIO:
@@ -115,6 +132,8 @@ class MatrixMarketStream:
         self._handle: TextIO | None = _open_text(self._path)
         self._lineno = 0
         self._iterated = False
+        self._pending: list[str] = []  # whole lines read past the last chunk
+        self._tail: list[str] = []  # pieces of the line still being read
         try:
             self.header = self._parse_header()
         except Exception:
@@ -161,8 +180,7 @@ class MatrixMarketStream:
             )
 
         # Skip comments, read the size line.
-        line = handle.readline()
-        self._lineno += 1
+        line = "%"
         while line.startswith("%"):
             line = handle.readline()
             self._lineno += 1
@@ -171,15 +189,15 @@ class MatrixMarketStream:
         sizes = line.split()
         if len(sizes) != 3:
             raise ValueError(f"{path}: malformed size line {line!r}")
-        n_rows, n_cols, n_entries = (int(s) for s in sizes)
-        return MatrixMarketHeader(
-            path=str(path),
-            n_rows=n_rows,
-            n_cols=n_cols,
-            n_entries=n_entries,
-            field=field,
-            symmetry=symmetry,
-        )
+        try:
+            n_rows, n_cols, n_entries = counts = [int(s) for s in sizes]
+        except ValueError:
+            counts = [-1]
+        if not all(0 <= count < 1 << 63 for count in counts):
+            raise ValueError(
+                f"{path}:{self._lineno}: size line {line!r} needs three int64 counts >= 0"
+            )
+        return MatrixMarketHeader(str(path), n_rows, n_cols, n_entries, field, symmetry)
 
     # -- entry chunks ------------------------------------------------------
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
@@ -188,76 +206,92 @@ class MatrixMarketStream:
         if self._iterated:
             raise ValueError(f"{self._path}: stream already consumed (single pass)")
         self._iterated = True
-        path = self._path
-        handle = self._handle
         n_entries = self.header.n_entries
         consumed = 0
         while True:
-            # Read one more line than could legally remain so a surplus entry
-            # is diagnosed exactly like the eager reader did.
-            limit = min(self._chunk_entries, n_entries - consumed + 1)
-            lines: list[str] = []
-            linenos: list[int] = []
-            while len(lines) < limit:
-                raw = handle.readline()
-                if not raw:
-                    break
-                self._lineno += 1
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("%"):
-                    continue
-                lines.append(stripped)
-                linenos.append(self._lineno)
+            # One line more than may legally remain, so that a surplus
+            # entry is caught by this chunk's parse.
+            remaining = n_entries - consumed
+            lines = self._take_lines(min(self._chunk_entries, remaining + 1))
             if not lines:
                 break
-            remaining = n_entries - consumed
-            if len(lines) > remaining:
-                # Diagnose the legal prefix first: a malformed in-range entry
-                # outranks the surplus, exactly like the per-line reader.
-                if remaining:
-                    self._parse_chunk(lines[:remaining], linenos[:remaining])
-                raise ValueError(f"{path}: more entries than declared ({n_entries})")
-            rows, cols, values = self._parse_chunk(lines, linenos)
-            consumed += len(lines)
-            yield self._expand(rows, cols, values)
+            first_lineno = self._lineno + 1
+            self._lineno += len(lines)
+            chunk = self._parse_chunk(lines, remaining)
+            if chunk is None:
+                chunk = self._parse_chunk_slow(lines, first_lineno, remaining)
+            del lines  # free the raw text before the consumer runs
+            rows, cols, values = chunk
+            if rows.size:
+                consumed += rows.size
+                yield self._expand(rows, cols, values)
         if consumed != n_entries:
-            raise ValueError(f"{path}: expected {n_entries} entries, found {consumed}")
+            raise ValueError(f"{self._path}: expected {n_entries} entries, found {consumed}")
 
-    def _parse_chunk(self, lines: list[str], linenos: list[int]):
-        """Vectorized token parse; falls back to a per-line scan on anomalies.
+    def _take_lines(self, limit: int) -> list[str]:
+        """Up to ``limit`` raw lines without their newlines, split from whole
+        blocks of text (a fraction of the cost of iterating the handle)."""
+        lines = self._pending
+        while len(lines) < limit:
+            block = self._handle.read(_BLOCK_CHARS)
+            if not block:
+                if any(self._tail):  # a last line without a newline
+                    lines.append("".join(self._tail))
+                    self._tail = []
+                break
+            head, *rest = block.split("\n")
+            self._tail.append(head)
+            if rest:
+                lines.append("".join(self._tail))
+                self._tail = [rest.pop()]
+                lines += rest
+        self._pending = lines[limit:]
+        del lines[limit:]
+        return lines
 
-        The fast path only applies when every line has a uniform token count
-        and all tokens convert cleanly; anything irregular is re-parsed line
-        by line so the error message names the exact offending line.
+    def _parse_chunk(self, lines: list[str], remaining: int):
+        """Parse a whole chunk of raw lines in one ``np.loadtxt`` call.
+
+        ``None`` unless every line is one in-range entry within the declared
+        count: anything else goes to :meth:`_parse_chunk_slow` for its error.
         """
-        n = len(lines)
-        tokens = np.array(" ".join(lines).split())
-        rows = cols = values = None
+        if not (
+            _BULK_PARSE
+            and len(lines) <= remaining
+            and lines[0].strip()  # an all-blank chunk makes loadtxt warn
+            and all(map(str.isascii, lines))  # loadtxt misreads non-ASCII digits
+        ):
+            return None
+        dtype = _ENTRY_DTYPE if self._with_values else _ENTRY_DTYPE[["row", "col"]]
         try:
-            if tokens.size == 2 * n and not self._with_values:
-                pairs = tokens.reshape(n, 2).astype(np.int64)
-                rows, cols = pairs[:, 0], pairs[:, 1]
-            elif tokens.size == 3 * n:
-                triples = tokens.reshape(n, 3)
-                pairs = triples[:, :2].astype(np.int64)
-                rows, cols = pairs[:, 0], pairs[:, 1]
-                if self._with_values:
-                    values = triples[:, 2].astype(np.float64)
+            parsed = np.loadtxt(
+                lines, dtype=dtype, comments=None, usecols=range(len(dtype)), ndmin=1
+            )
         except ValueError:
-            rows = None
-        if rows is None:
-            return self._parse_chunk_slow(lines, linenos)
-        self._check_ranges(rows, cols, lines, linenos)
+            return None
+        rows, cols = parsed["row"], parsed["col"]
+        values = parsed["value"].copy() if self._with_values else None
+        if len(rows) != len(lines) or not (  # loadtxt skips blank lines
+            1 <= rows.min() and rows.max() <= self.header.n_rows
+            and 1 <= cols.min() and cols.max() <= self.header.n_cols
+        ):
+            return None
         return rows, cols, values
 
-    def _parse_chunk_slow(self, lines: list[str], linenos: list[int]):
+    def _parse_chunk_slow(self, lines: list[str], first_lineno: int, remaining: int):
+        """Per-line parse naming ``file:line`` in every error; skips comment
+        and blank lines, and a malformed entry outranks a later surplus."""
         path = self._path
         header = self.header
-        n = len(lines)
-        rows = np.empty(n, dtype=np.int64)
-        cols = np.empty(n, dtype=np.int64)
-        values = np.empty(n, dtype=np.float64) if self._with_values else None
-        for k, (line, lineno) in enumerate(zip(lines, linenos, strict=True)):
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list[float] = []
+        for lineno, raw in enumerate(lines, first_lineno):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if len(rows) == remaining:
+                raise ValueError(f"{path}: more entries than declared ({header.n_entries})")
             tokens = line.split()
             if len(tokens) < 2:
                 raise ValueError(
@@ -270,14 +304,14 @@ class MatrixMarketStream:
                 raise ValueError(
                     f"{path}:{lineno}: non-integer indices in entry line {line!r}"
                 ) from None
-            if values is not None:
+            if self._with_values:
                 if len(tokens) < 3:
                     raise ValueError(
                         f"{path}:{lineno}: entry line {line!r} has no value "
                         "(expected 'row col value')"
                     )
                 try:
-                    values[k] = float(tokens[2])
+                    values.append(float(tokens[2]))
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric value in entry line {line!r}"
@@ -292,27 +326,10 @@ class MatrixMarketStream:
                     f"{path}:{lineno}: column index {j} outside the declared size "
                     f"{header.n_cols} in entry line {line!r}"
                 )
-            rows[k] = i
-            cols[k] = j
-        return rows, cols, values
-
-    def _check_ranges(self, rows, cols, lines, linenos) -> None:
-        header = self.header
-        bad_row = (rows < 1) | (rows > header.n_rows)
-        bad_col = (cols < 1) | (cols > header.n_cols)
-        bad = bad_row | bad_col
-        if bad.any():
-            k = int(np.argmax(bad))
-            path, lineno, line = self._path, linenos[k], lines[k]
-            if bad_row[k]:
-                raise ValueError(
-                    f"{path}:{lineno}: row index {int(rows[k])} outside the declared "
-                    f"size {header.n_rows} in entry line {line!r}"
-                )
-            raise ValueError(
-                f"{path}:{lineno}: column index {int(cols[k])} outside the declared "
-                f"size {header.n_cols} in entry line {line!r}"
-            )
+            rows.append(i)
+            cols.append(j)
+        parsed_values = np.array(values, dtype=np.float64) if self._with_values else None
+        return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), parsed_values
 
     def _expand(self, rows, cols, values):
         """Convert to 0-based and append symmetry mirrors, chunk-local."""
@@ -373,24 +390,14 @@ def read_matrix_market(
     """
     path = Path(path)
     graph_name = name if name is not None else path.name.removesuffix(".gz").removesuffix(".mtx")
-    rows_parts: list[np.ndarray] = []
-    cols_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
     with MatrixMarketStream(path, with_values=with_weights) as stream:
         header = stream.header
-        for rows, cols, values in stream:
-            rows_parts.append(rows)
-            cols_parts.append(cols)
-            if values is not None:
-                value_parts.append(values)
-    if rows_parts:
-        all_rows = np.concatenate(rows_parts)
-        all_cols = np.concatenate(cols_parts)
-    else:
-        all_rows = np.empty(0, dtype=np.int64)
-        all_cols = np.empty(0, dtype=np.int64)
-    weights = np.concatenate(value_parts) if value_parts else None
-    edges = np.column_stack([all_rows, all_cols])
+        chunks = list(stream)
+    empty = np.empty(0, dtype=np.int64)
+    edges = np.column_stack(
+        [np.concatenate([chunk[side] for chunk in chunks] or [empty]) for side in (0, 1)]
+    )
+    weights = np.concatenate([chunk[2] for chunk in chunks]) if with_weights and chunks else None
     return from_edges(
         edges, n_rows=header.n_rows, n_cols=header.n_cols, name=graph_name, weights=weights
     )
@@ -415,11 +422,7 @@ def write_matrix_market(graph: BipartiteGraph, path: str | Path) -> None:
         field=field,
         comment=f"written by repro ({graph.name})",
     ) as writer:
-        edges = graph.edges()
-        if graph.n_edges:
-            writer.write_chunk(
-                edges[:, 0], edges[:, 1], graph.weights if graph.has_weights else None
-            )
+        writer.write_chunk(graph.col_ind, graph.edge_columns(), graph.weights)
 
 
 class MatrixMarketStreamWriter:
@@ -583,9 +586,7 @@ def chunked_content_hash(
     """
 
     def _chunks(source):
-        if isinstance(source, np.ndarray):
-            return (source,)
-        return source
+        return (source,) if isinstance(source, np.ndarray) else source
 
     hasher = ChunkedContentHasher(n_rows, n_cols)
     for section, source in (

@@ -258,7 +258,8 @@ class ShardedMatcher:
         the vectorized :func:`expand_frontier` over that shard's column CSR,
         and the discovered rows (global ids) are pooled — the *exchange* —
         before stepping to their matched columns, which may live in any
-        shard.
+        shard.  The pool is a row mask, so a level's edge-sized scan never
+        outlives its shard: the BFS heap stays O(largest shard + vertices).
         """
         sharded = self.sharded
         boundaries = sharded.partition.boundaries
@@ -270,14 +271,15 @@ class ShardedMatcher:
         edges = 0
         while frontier.size:
             shard_ids = sharded.partition.shard_of(frontier)
-            rows_parts: list[np.ndarray] = []
+            found = np.zeros(sharded.n_rows, dtype=bool)
             handoffs = 0
             for index in np.unique(shard_ids):
                 local = frontier[shard_ids == index] - boundaries[index]
                 ptr, ind, _ = views[int(index)]
                 targets, _ = expand_frontier(ptr, ind, local)
                 if targets.size:
-                    rows_parts.append(targets)
+                    edges += targets.size
+                    found[targets] = True
                     mates = row_match[targets]
                     crossing = mates[mates >= 0]
                     if crossing.size:
@@ -287,11 +289,9 @@ class ShardedMatcher:
                             )
                         )
             counters["frontier_handoffs"] += handoffs
-            if not rows_parts:
+            if not found.any():
                 break
-            rows = np.concatenate(rows_parts)
-            edges += rows.size
-            mates = row_match[rows]
+            mates = row_match[found]
             if (mates == UNMATCHED).any():
                 shortest = depth + 1
             next_cols = np.unique(mates[mates >= 0])

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     from_dense,
@@ -15,6 +23,7 @@ from repro.graph import (
     write_matrix_market,
 )
 from repro.generators import uniform_random_bipartite
+from repro.graph.io import DEFAULT_CHUNK_ENTRIES
 from repro.graph.stats import degree_statistics
 from repro.graph.validate import GraphValidationError
 
@@ -208,7 +217,79 @@ def test_matrix_market_entry_outside_declared_size(tmp_path):
         read_matrix_market(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (
+            "2 2 1\n99999999999999999999 1\n",
+            r"big\.mtx:3: row index 99999999999999999999 outside the declared size 2",
+        ),
+        (
+            "2 2 1\n1 -99999999999999999999\n",
+            r"big\.mtx:3: column index -99999999999999999999 outside the declared size 2",
+        ),
+        ("2 2 99999999999999999999\n", r"big\.mtx:2: size line .* needs three int64 counts"),
+        ("2 x 1\n1 1\n", r"big\.mtx:2: size line '2 x 1\\n' needs three int64 counts"),
+        ("-2 2 0\n", r"big\.mtx:2: size line '-2 2 0\\n' needs three int64 counts >= 0"),
+    ],
+)
+def test_matrix_market_out_of_range_numbers_name_the_line(tmp_path, capsys, body, message):
+    # Regression: an index or count beyond int64 escaped as a bare
+    # OverflowError, a non-integer size line as int()'s own message, and a
+    # negative size failed later inside from_edges without naming the file.
+    from repro.cli import main
+
+    path = tmp_path / "big.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_matrix_market(path)
+    assert main(["run", "--mtx", str(path), "--algorithm", "hk"]) == 2
+    assert "big.mtx:" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ edge weights
+def test_from_edges_sorted_input_matches_shuffled_input():
+    # Pairs already in strict (col, row) order skip the canonicalising sort;
+    # the result must be bit-identical to building from any other order,
+    # duplicates (kept at their maximum weight) included.
+    rng = np.random.default_rng(12)
+    graph = uniform_random_bipartite(50, 40, avg_degree=4.0, seed=13)
+    weights = rng.uniform(-2.0, 5.0, graph.n_edges)
+    edges = graph.edges()  # strictly (col, row)-sorted
+    order = rng.permutation(graph.n_edges)
+    dup = rng.choice(graph.n_edges, 30)
+    variants = {
+        "sorted": (edges, weights),
+        "shuffled": (edges[order], weights[order]),
+        "duplicated": (
+            np.concatenate([edges, edges[dup]]),
+            np.concatenate([weights, weights[dup] - 1.0]),
+        ),
+        # Sorted, but only non-strictly: the duplicates must still collapse.
+        "sorted_with_repeats": (
+            np.repeat(edges, 2, axis=0),
+            np.stack([weights - 1.0, weights], axis=1).ravel(),
+        ),
+    }
+    built = {
+        key: from_edges(pairs, n_rows=50, n_cols=40, weights=w)
+        for key, (pairs, w) in variants.items()
+    }
+    reference = built["shuffled"]
+    for graph_variant in built.values():
+        for field in ("col_ptr", "col_ind", "row_ptr", "row_ind", "weights"):
+            np.testing.assert_array_equal(
+                getattr(graph_variant, field), getattr(reference, field)
+            )
+        assert graph_variant.content_hash() == reference.content_hash()
+    np.testing.assert_array_equal(built["sorted"].weights, weights)
+    # Structural graphs too, and an unsorted-but-unique input is not mistaken
+    # for a sorted one.
+    bare = from_edges(edges, n_rows=50, n_cols=40)
+    assert bare.content_hash() == graph.content_hash()
+    assert from_edges(edges[::-1], n_rows=50, n_cols=40).content_hash() == graph.content_hash()
+
+
 def test_from_edges_weights_deduplicate_to_maximum():
     graph = from_edges(
         [(0, 0), (0, 1), (0, 0)], n_rows=2, n_cols=2, weights=[1.0, 2.0, 7.0]
@@ -413,3 +494,169 @@ def test_chunked_content_hash_equals_in_memory(tmp_path):
         hasher.update("col_ind", np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError, match="unknown section"):
         hasher.update("values", np.zeros(1, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# bulk chunk parse vs the per-line parse
+# ---------------------------------------------------------------------------
+def _stream_outcome(path, *, with_values, chunk_entries, per_line=False, block=None):
+    """Every chunk as ``(dtype, bytes)`` triples, or the error as ``(type, message)``."""
+    from repro.graph.io import MatrixMarketStream
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error")  # a warning is an outcome of its own
+        if per_line:
+            stack.enter_context(
+                mock.patch.object(MatrixMarketStream, "_parse_chunk", return_value=None)
+            )
+        if block is not None:
+            stack.enter_context(mock.patch("repro.graph.io._BLOCK_CHARS", block))
+        try:
+            with MatrixMarketStream(
+                path, with_values=with_values, chunk_entries=chunk_entries
+            ) as stream:
+                return [
+                    tuple(None if a is None else (a.dtype.str, a.tobytes()) for a in chunk)
+                    for chunk in stream
+                ]
+        except Exception as exc:  # compared below, type included
+            return type(exc), str(exc)
+
+
+#: Body line kinds for the parity property; plain entries dominate so most
+#: documents parse, the rest exercise every fallback and diagnostic.
+_LINE_KINDS = ["entry"] * 20 + [
+    "tabs",
+    "trailing",
+    "comment",
+    "blank",
+    "spaces",
+    "one_token",
+    "float_index",
+    "exp_index",
+    "out_of_range",
+    "non_ascii",
+    "bad_value",
+]
+_VALUE_TOKENS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "-0.0", ".5", "5.", "+3", "1_0", "0x1p3"]),
+)
+
+
+@st.composite
+def _matrix_market_documents(draw):
+    field = draw(st.sampled_from(["pattern", "real", "integer"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric", "skew-symmetric"]))
+    n_rows = draw(st.integers(1, 6))
+    # 500 columns put loadtxt's misreading of non-ASCII digits in range.
+    n_cols = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 500]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines, entries = [], 0
+    for kind in draw(st.lists(st.sampled_from(_LINE_KINDS), max_size=30)):
+        i = draw(st.integers(1, n_rows))
+        j = draw(st.integers(1, n_cols))
+        value = "" if field == "pattern" else " " + draw(_VALUE_TOKENS)
+        entries += kind not in ("comment", "blank", "spaces")
+        lines.append(
+            {
+                "entry": f"{i} {j}{value}",
+                "tabs": f"{i}\t{j}{value.replace(' ', chr(9))}",
+                "trailing": f" {i}  {j}{value} 7 extra ",
+                "comment": "% a comment mid-body",
+                "blank": "",
+                "spaces": "   ",
+                "one_token": f"{i}",
+                "float_index": f"{i}.0 {j}{value}",
+                "exp_index": f"{i}e0 {j}{value}",
+                "out_of_range": f"{i} {draw(st.sampled_from([0, n_cols + 1]))}{value}",
+                "non_ascii": f"{i} \u01fe{value}",
+                "bad_value": f"{i} {j} zz",
+            }[kind]
+        )
+    declared = max(0, entries + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+    header = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", "% generated"]
+    header.append(f"{n_rows} {n_cols} {declared}")
+    text = newline.join(header + lines)
+    if draw(st.booleans()):
+        text += newline
+    return text, field != "pattern" and draw(st.booleans())
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    document=_matrix_market_documents(),
+    suffix=st.sampled_from([".mtx", ".mtx.gz"]),
+    chunk_entries=st.sampled_from([1, 7, DEFAULT_CHUNK_ENTRIES]),
+    block=st.sampled_from([1, 5, None]),
+)
+def test_bulk_parse_matches_per_line_parse(document, suffix, chunk_entries, block):
+    import gzip
+
+    text, with_values = document
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"doc{suffix}"
+        data = text.encode()
+        path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        reference = _stream_outcome(
+            path, with_values=with_values, chunk_entries=chunk_entries, per_line=True
+        )
+        bulk = _stream_outcome(
+            path, with_values=with_values, chunk_entries=chunk_entries, block=block
+        )
+    assert bulk == reference
+    if isinstance(reference, tuple):
+        assert reference[0] is ValueError, reference  # typed, never a bare crash
+    else:
+        mirrors = 1 if "general" in text.split("\n", 1)[0] else 2
+        assert all(0 < len(chunk[0][1]) <= 8 * mirrors * chunk_entries for chunk in reference)
+
+
+def test_regular_file_never_takes_the_per_line_parse(tmp_path):
+    from repro.graph.io import MatrixMarketStream
+
+    graph = uniform_random_bipartite(300, 280, avg_degree=6.0, seed=47)
+    weighted = graph.with_weights(np.linspace(-1.0, 3.0, graph.n_edges))
+    for source, with_values in ((graph, False), (weighted, True)):
+        path = tmp_path / "regular.mtx.gz"
+        write_matrix_market(source, path)
+        with mock.patch.object(
+            MatrixMarketStream, "_parse_chunk_slow", side_effect=AssertionError("per-line")
+        ):
+            back = read_matrix_market(path, with_weights=with_values)
+            chunks = _stream_outcome(path, with_values=with_values, chunk_entries=97)
+        assert back.content_hash() == source.content_hash()
+        assert chunks == _stream_outcome(
+            path, with_values=with_values, chunk_entries=97, per_line=True
+        )
+
+
+def test_diagnostics_past_the_first_block_name_the_right_line(tmp_path):
+    # Lines are split from blocks of text; an irregular line deep in a file
+    # with CRLF endings still reports its own logical line number.
+    import gzip
+
+    body = "".join(f"{k % 50 + 1} {k % 40 + 1}\r\n" for k in range(20_000))
+    lines = body.splitlines()
+    lines[15_000] = "% a comment"
+    lines[17_000] = "3 zz"
+    path = tmp_path / "deep.mtx.gz"
+    text = "%%MatrixMarket matrix coordinate pattern general\r\n50 40 20000\r\n"
+    path.write_bytes(gzip.compress((text + "\r\n".join(lines)).encode()))
+    with pytest.raises(ValueError, match=r"deep\.mtx\.gz:17003: non-integer indices"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("block", [1, 4, None])
+def test_last_line_without_newline_is_an_entry(tmp_path, block):
+    path = tmp_path / "open-ended.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 3\n1 1\n2 2\n3 3")
+    with contextlib.ExitStack() as stack:
+        if block is not None:
+            stack.enter_context(mock.patch("repro.graph.io._BLOCK_CHARS", block))
+        graph = read_matrix_market(path)
+    assert {(int(u), int(v)) for u, v in graph.edges()} == {(0, 0), (1, 1), (2, 2)}
