@@ -20,8 +20,6 @@ RPR004    No property-accessor calls (``col_degrees``, ``csr_lists()``,
           registered :mod:`repro.compiled.dispatch` entry.
 RPR005    No bare ``except:``; no silently swallowed broad/engine failures
           (``except Exception: pass`` and friends).
-RPR006    No use of the deprecated ``repro.core.api.ALGORITHMS`` mapping —
-          enumerate ``SPECS`` / call ``resolve_algorithm`` instead.
 ========  ==================================================================
 """
 
@@ -425,40 +423,6 @@ def _check_exceptions(ctx: LintContext) -> list[Violation]:
     return out
 
 
-# --------------------------------------------------------------------------
-# RPR006 — deprecated ALGORITHMS mapping
-# --------------------------------------------------------------------------
-def _check_deprecated_api(ctx: LintContext) -> list[Violation]:
-    if ctx.module_parts in (("core", "api.py"),):
-        return []  # the definition site (and its deprecation shim)
-    out = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").endswith("api") and any(
-                alias.name == "ALGORITHMS" for alias in node.names
-            ):
-                out.append(
-                    Violation(
-                        ctx.path,
-                        node.lineno,
-                        "RPR006",
-                        "import of deprecated `ALGORITHMS` — enumerate `SPECS` or call "
-                        "`resolve_algorithm` instead",
-                    )
-                )
-        elif isinstance(node, ast.Attribute) and node.attr == "ALGORITHMS":
-            out.append(
-                Violation(
-                    ctx.path,
-                    node.lineno,
-                    "RPR006",
-                    "use of deprecated `ALGORITHMS` mapping — enumerate `SPECS` or call "
-                    "`resolve_algorithm` instead",
-                )
-            )
-    return out
-
-
 RULES: dict[str, Rule] = {
     rule.code: rule
     for rule in (
@@ -467,6 +431,5 @@ RULES: dict[str, Rule] = {
         Rule("RPR003", "lock-discipline", "self-attribute writes in lock-owning classes must hold the lock", _check_lock_discipline),
         Rule("RPR004", "hot-path-accessors", "no accessor calls or dispatch lookups inside `# hot-path` regions", _check_hot_path),
         Rule("RPR005", "swallowed-failures", "no bare `except:` or silently swallowed broad failures", _check_exceptions),
-        Rule("RPR006", "deprecated-api", "no use of the deprecated ALGORITHMS mapping", _check_deprecated_api),
     )
 }

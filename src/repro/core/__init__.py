@@ -46,25 +46,3 @@ __all__ = [
     "parse_strategy",
 ]
 
-
-def __getattr__(name: str):
-    # Legacy re-export of the deprecated ALGORITHMS mapping.  The warning is
-    # emitted here (stacklevel=2 → the caller's access site) and suppressed
-    # on the inner api.ALGORITHMS hop so it fires exactly once, attributed to
-    # user code rather than to this package.
-    if name == "ALGORITHMS":
-        import warnings
-
-        warnings.warn(
-            "repro.core.ALGORITHMS is deprecated; enumerate repro.core.SPECS or call "
-            "resolve_algorithm(name, **kwargs).run(graph, initial) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.core import api
-
-            # This *is* the deprecation shim: the one forwarding site.
-            return api.ALGORITHMS  # repro-lint: disable=RPR006
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

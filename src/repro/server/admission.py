@@ -27,7 +27,8 @@ class AdmissionError(RuntimeError):
     """The request was shed by admission control (HTTP 429 at the server edge).
 
     ``reason`` is machine-readable: ``"tenant-quota"`` (the tenant's
-    in-flight limit) or ``"queue-depth"`` (the server-wide bound).
+    in-flight limit), ``"queue-depth"`` (the server-wide bound) or
+    ``"engine-saturated"`` (the engine's ``max_inflight`` backstop).
     """
 
     def __init__(self, reason: str, message: str) -> None:
@@ -78,7 +79,8 @@ class AdmissionController:
 
     def __init__(self, policy: QuotaPolicy | None = None) -> None:
         self.policy = policy or QuotaPolicy()
-        self._lock = threading.Lock()
+        # Re-entrant: try_admit rejects through _reject while holding it.
+        self._lock = threading.RLock()
         self._tenant_inflight: dict[str, int] = {}
         self.depth = 0
         self.peak_depth = 0
@@ -98,23 +100,15 @@ class AdmissionController:
         """
         with self._lock:
             if self.depth >= self.policy.max_queue_depth:
-                self.rejected += 1
-                self._stats(tenant)["rejected"] += 1
-                reason = "queue-depth"
-                self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
-                raise AdmissionError(
-                    reason,
+                raise self._reject(
+                    tenant, "queue-depth",
                     f"server at capacity: {self.depth} requests in flight "
                     f">= max_queue_depth={self.policy.max_queue_depth}",
                 )
             inflight = self._tenant_inflight.get(tenant, 0)
             if inflight >= self.policy.max_inflight_per_tenant:
-                self.rejected += 1
-                self._stats(tenant)["rejected"] += 1
-                reason = "tenant-quota"
-                self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
-                raise AdmissionError(
-                    reason,
+                raise self._reject(
+                    tenant, "tenant-quota",
                     f"tenant {tenant!r} at quota: {inflight} requests in flight "
                     f">= max_inflight_per_tenant={self.policy.max_inflight_per_tenant}",
                 )
@@ -124,6 +118,14 @@ class AdmissionController:
             self.admitted += 1
             self._stats(tenant)["admitted"] += 1
             return AdmissionTicket(self, tenant)
+
+    def _reject(self, tenant: str, reason: str, message: str) -> AdmissionError:
+        """Count one shed request for ``tenant`` and return the error to raise."""
+        with self._lock:
+            self.rejected += 1
+            self._stats(tenant)["rejected"] += 1
+            self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
+        return AdmissionError(reason, message)
 
     def _release(self, ticket: AdmissionTicket) -> bool:
         with self._lock:

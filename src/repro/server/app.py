@@ -41,7 +41,6 @@ from repro.server.protocol import (
     GraphCache,
     ProtocolError,
     build_job,
-    handle_row,
     parse_request,
     result_row,
 )
@@ -326,14 +325,13 @@ class MatchingServer:
         self._request_counter += 1
         return f"req-{self._request_counter}"
 
-    def _parse(self, payload: Any, request_id: str, **overrides):
+    def _parse(self, payload: Any, request_id: str):
         return parse_request(
             payload,
             default_profile=self.default_profile,
             default_seed=self.default_seed,
             default_deadline=self.default_deadline,
             request_id=request_id,
-            **overrides,
         )
 
     async def _serve_match(self, body: bytes) -> tuple[int, dict]:
@@ -350,52 +348,23 @@ class MatchingServer:
             self.metrics.record_bad_request()
             return 400, {"error": str(exc)}
         try:
-            ticket = self.admission.try_admit(request.tenant)
+            hit, handle, cache_key = self._dispatch(request, job)
         except AdmissionError as exc:
-            return 429, {"error": str(exc), "reason": exc.reason, "id": request.request_id}
-        row, status = await self._execute(request, job, ticket, arrival)
-        return status, row
-
-    async def _execute(self, request, job, ticket, arrival: float) -> tuple[dict, int]:
-        """Serve one admitted request: cache tier, then the engine."""
-        cache_key = job.cache_key() if request.plan.deterministic else None
-        if cache_key is not None:
-            hit = self.results.get(cache_key)
-            if hit is not None:
-                ticket.release()
-                latency = time.perf_counter() - arrival
-                self.metrics.record_response("ok", latency, cached=True)
-                return (
-                    result_row(
-                        request, status="ok", result=hit, cached=True, worker="cache",
-                        server_seconds=latency, fault_injection=self.fault_injection,
-                    ),
-                    200,
-                )
+            return 429, {"error": str(exc), "reason": exc.reason, "id": request.job.job_id}
+        except RuntimeError as exc:  # engine shut down mid-request
+            self.metrics.record_server_error()
+            return 500, {"error": str(exc), "id": request.job.job_id}
+        if hit is not None:
+            return 200, self._cached_row(request, hit, arrival)
         loop = asyncio.get_running_loop()
         done = asyncio.Event()
 
         def on_done(_handle) -> None:
-            ticket.release()
             try:
                 loop.call_soon_threadsafe(done.set)
             except RuntimeError:
                 pass  # loop already closed during shutdown
 
-        try:
-            handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
-        except EngineSaturatedError as exc:
-            ticket.release()
-            self.admission.rejected += 1
-            reason = "engine-saturated"
-            self.admission.rejected_by_reason[reason] = (
-                self.admission.rejected_by_reason.get(reason, 0) + 1
-            )
-            return {"error": str(exc), "reason": reason, "id": request.request_id}, 429
-        except RuntimeError as exc:  # engine shut down mid-request
-            ticket.release()
-            self.metrics.record_server_error()
-            return {"error": str(exc), "id": request.request_id}, 500
         handle._add_done_callback(on_done)
         wait = None
         if handle.deadline is not None:
@@ -406,16 +375,61 @@ class MatchingServer:
             # Answer the deadline on the handle's behalf; a pending job is
             # cancelled, a running one keeps its quota slot until it drains.
             handle.cancel()
+        return 200, self._finished_row(request, handle, cache_key, arrival)
+
+    def _dispatch(self, request, job):
+        """Admission, the result cache, then the engine, for one request.
+
+        Returns ``(hit, None, key)`` when the cache answers and ``(None,
+        handle, key)`` once the job is submitted; the quota slot is released
+        on the hit, or when the handle terminates.  A shed request raises
+        :class:`AdmissionError` (engine saturation included, counted against
+        its tenant); a shut-down engine raises ``RuntimeError``.
+        """
+        ticket = self.admission.try_admit(request.tenant)
+        cache_key = job.cache_key() if request.plan.deterministic else None
+        hit = self.results.get(cache_key) if cache_key is not None else None
+        if hit is not None:
+            ticket.release()
+            return hit, None, cache_key
+        try:
+            handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
+        except RuntimeError as exc:
+            ticket.release()
+            if isinstance(exc, EngineSaturatedError):
+                raise self.admission._reject(
+                    request.tenant, "engine-saturated", str(exc)
+                ) from exc
+            raise
+        handle._add_done_callback(lambda _handle: ticket.release())
+        return None, handle, cache_key
+
+    def _cached_row(self, request, hit, arrival: float) -> dict:
         latency = time.perf_counter() - arrival
-        row = handle_row(
-            request, handle, server_seconds=latency, fault_injection=self.fault_injection
+        self.metrics.record_response("ok", latency, cached=True)
+        return result_row(
+            request, status="ok", result=hit, cached=True, worker="cache",
+            server_seconds=latency, fault_injection=self.fault_injection,
         )
-        if handle.status is JobStatus.OK and cache_key is not None:
+
+    def _finished_row(self, request, handle, cache_key, arrival: float) -> dict:
+        """The row for a finished (or deadline-expired) handle; caches an ok result."""
+        latency = time.perf_counter() - arrival
+        ok = handle.status is JobStatus.OK
+        # A handle still running past the deadline grace is answered as a
+        # timeout now rather than holding the client while a stalled worker
+        # drains (the quota slot stays held until the handle terminates).
+        status = handle.status.value if handle.done() else "timeout"
+        injected = getattr(handle, "injected_fault", None)
+        row = result_row(
+            request, status=status, result=handle._result if ok else None,
+            error=handle.failure, worker=handle.worker, seconds=handle.seconds,
+            server_seconds=latency, injected=injected, fault_injection=self.fault_injection,
+        )
+        if ok and cache_key is not None:
             self.results.put(cache_key, handle._result)
-        self.metrics.record_response(
-            row["status"], latency, injected=getattr(handle, "injected_fault", None)
-        )
-        return row, 200
+        self.metrics.record_response(status, latency, injected=injected)
+        return row
 
     # ----------------------------------------------------------------- batch
     async def _serve_batch(self, body: bytes, writer: asyncio.StreamWriter) -> bool:
@@ -465,42 +479,24 @@ class MatchingServer:
         for request, job in zip(requests, jobs, strict=True):
             # Admission is per job: overflow is shed as a row, siblings run.
             try:
-                ticket = self.admission.try_admit(request.tenant)
-            except AdmissionError as exc:
+                hit, handle, cache_key = self._dispatch(request, job)
+            except RuntimeError as exc:
+                if isinstance(exc, AdmissionError):
+                    reason = exc.reason
+                else:  # engine shut down mid-batch
+                    self.metrics.record_server_error()
+                    reason = "engine-shutdown"
                 counts["rejected"] += 1
                 await emit({
                     "type": "result", **request.describe(),
-                    "status": "rejected", "reason": exc.reason, "error": str(exc),
+                    "status": "rejected", "reason": reason, "error": str(exc),
                 })
                 continue
-            cache_key = job.cache_key() if request.plan.deterministic else None
-            hit = self.results.get(cache_key) if cache_key is not None else None
             if hit is not None:
-                ticket.release()
-                latency = time.perf_counter() - arrival
                 counts["ok"] += 1
                 counts["cached"] += 1
-                self.metrics.record_response("ok", latency, cached=True)
-                await emit(result_row(
-                    request, status="ok", result=hit, cached=True, worker="cache",
-                    server_seconds=latency, fault_injection=self.fault_injection,
-                ))
+                await emit(self._cached_row(request, hit, arrival))
                 continue
-            try:
-                handle = self.engine.submit(job, plan=request.plan, timeout=request.deadline)
-            except (EngineSaturatedError, RuntimeError) as exc:
-                ticket.release()
-                counts["rejected"] += 1
-                self.admission.rejected += 1
-                self.admission.rejected_by_reason["engine-saturated"] = (
-                    self.admission.rejected_by_reason.get("engine-saturated", 0) + 1
-                )
-                await emit({
-                    "type": "result", **request.describe(),
-                    "status": "rejected", "reason": "engine-saturated", "error": str(exc),
-                })
-                continue
-            handle._add_done_callback(lambda _h, t=ticket: t.release())
             pending.append((request, handle))
             by_handle[id(handle)] = (request, cache_key)
 
@@ -524,18 +520,8 @@ class MatchingServer:
                 if finished is None:
                     break
                 request, cache_key = by_handle[id(finished)]
-                latency = time.perf_counter() - arrival
-                row = handle_row(
-                    request, finished, server_seconds=latency,
-                    fault_injection=self.fault_injection,
-                )
-                if finished.status is JobStatus.OK and cache_key is not None:
-                    self.results.put(cache_key, finished._result)
+                row = self._finished_row(request, finished, cache_key, arrival)
                 counts[row["status"]] = counts.get(row["status"], 0) + 1
-                self.metrics.record_response(
-                    row["status"], latency,
-                    injected=getattr(finished, "injected_fault", None),
-                )
                 await emit(row)
 
         await emit({

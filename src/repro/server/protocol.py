@@ -1,35 +1,34 @@
-"""Wire protocol: request validation, graph resolution and response rows.
+"""Wire protocol: the server's request envelope and its response rows.
 
-Requests reference graphs the same way JSONL manifests do — a suite instance
-name (``graph`` + ``profile`` + ``seed``) or a server-local Matrix-Market
-path (``mtx``), optionally layered with a ``weights`` spec — rather than
-shipping edge lists over the wire.  Resolved graphs are memoized in a
-:class:`GraphCache` keyed on the source tuple; results are memoized by the
-server's :class:`~repro.service.cache.ResultCache` keyed on
+A request body is a job entry — the schema ``repro batch`` manifests use,
+validated by :func:`repro.service.request.parse_job` (field table in
+``docs/formats.md``) — plus three server-only envelope fields: ``tenant``,
+``deadline`` and ``include_matching``.  Graphs are resolved by recipe
+through the shared :class:`~repro.service.request.GraphCache`; results are
+memoized by the server's :class:`~repro.service.cache.ResultCache` keyed on
 :meth:`MatchingJob.cache_key`, which embeds the graph's ``content_hash()``,
 so renamed copies of the same structure share warm entries.
 
-All validation errors raise :class:`ProtocolError` (HTTP 400): like the
-batch service, a malformed request must fail before anything executes.
+All validation errors raise :class:`ProtocolError` (HTTP 400), with the
+message a manifest line would get: a malformed request fails before any
+graph is built or any quota consumed.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any
 
-from repro.core.api import SPECS
-from repro.engine.execution import validate_job_args
-from repro.engine.handles import JobHandle
-from repro.engine.job import INITIAL_CHOICES, MatchingJob
-from repro.generators.capacities import apply_capacity_spec, parse_capacity_spec
-from repro.generators.suite import SCALE_PROFILES, SUITE_SPECS, generate_instance
-from repro.generators.weights import apply_weight_spec, parse_weight_spec
-from repro.graph.io import read_matrix_market
+from repro.engine.job import MatchingJob
+from repro.service.request import GraphCache, JobRequest, parse_job
 
-__all__ = ["GraphCache", "ProtocolError", "ServerRequest", "parse_request", "result_row"]
+__all__ = [
+    "ENVELOPE_FIELDS", "GraphCache", "ProtocolError", "ServerRequest", "parse_request",
+    "result_row",
+]
+
+#: The request fields only the server reads; everything else is the job.
+ENVELOPE_FIELDS = ("tenant", "deadline", "include_matching")
 
 
 class ProtocolError(ValueError):
@@ -40,89 +39,26 @@ class ProtocolError(ValueError):
 class ServerRequest:
     """One validated ``/v1/match`` request (or one job of a ``/v1/batch``)."""
 
+    job: JobRequest
     tenant: str
-    algorithm: str
-    kwargs: dict
-    initial: str | None
     deadline: float | None
-    request_id: str
     include_matching: bool
-    source: tuple
-    graph_label: str
-    plan: Any = field(repr=False, default=None)
+
+    @property
+    def plan(self):
+        return self.job.plan
+
+    @property
+    def algorithm(self) -> str:
+        return self.job.algorithm
 
     def describe(self) -> dict:
         return {
-            "id": self.request_id,
+            "id": self.job.job_id,
             "tenant": self.tenant,
-            "graph": self.graph_label,
+            "graph": self.job.recipe.label,
             "algorithm": self.algorithm,
         }
-
-
-class GraphCache:
-    """Thread-safe memo of resolved graphs, keyed on their request source.
-
-    The *source* is the fully-determined recipe (suite instance + profile +
-    seed + weight spec, or mtx path + weight spec + seed), so two requests
-    naming the same recipe share one in-memory
-    :class:`~repro.graph.bipartite.BipartiteGraph` — generation cost is paid
-    once per distinct source for the server's lifetime.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._graphs: dict[tuple, Any] = {}
-
-    def resolve(self, source: tuple):
-        """The graph for ``source``, building (and caching) it on first use."""
-        with self._lock:
-            graph = self._graphs.get(source)
-            if graph is not None:
-                self.hits += 1
-                return graph
-        # Built outside the lock: generation can take a while and concurrent
-        # requests for *different* sources must not serialise on it.  A
-        # racing duplicate build is benign — last writer wins, same content.
-        graph = _build_graph(source)
-        with self._lock:
-            self.misses += 1
-            if len(self._graphs) >= self.max_entries:
-                # Simple FIFO bound; the server's working set of distinct
-                # sources is tiny compared to the result cache's key space.
-                self._graphs.pop(next(iter(self._graphs)))
-            self._graphs[source] = graph
-        return graph
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._graphs)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"entries": len(self._graphs), "hits": self.hits, "misses": self.misses}
-
-
-def _build_graph(source: tuple):
-    kind = source[0]
-    if kind == "suite":
-        _, name, profile, seed, weights, capacities = source
-        graph = generate_instance(name, profile=profile, seed=seed)
-        cap_seed = seed
-    else:
-        _, path, weights, seed, capacities, cap_seed = source
-        weights_kind = parse_weight_spec(weights)[0] if weights else None
-        graph = read_matrix_market(path, with_weights=weights_kind == "values")
-    if weights is not None:
-        graph = apply_weight_spec(graph, weights, seed=seed)
-    if capacities is not None:
-        graph = apply_capacity_spec(graph, capacities, seed=cap_seed)
-    return graph
 
 
 def _require(condition: bool, message: str) -> None:
@@ -141,80 +77,22 @@ def parse_request(
 ) -> ServerRequest:
     """Validate one job payload into a :class:`ServerRequest`.
 
-    Mirrors the manifest loader's checks (graph/mtx exclusivity, known
-    profile and suite instance, weight-spec parsing, algorithm + kwargs +
-    warm-start validation via :func:`validate_job_args`) so a request that
-    would be rejected by ``repro batch`` is rejected here too — before any
-    graph is built or any quota consumed.
+    The envelope fields are popped and checked here; the rest is the job
+    entry :func:`~repro.service.request.parse_job` validates.
     """
-    _require(isinstance(payload, dict), f"request must be an object, got {type(payload).__name__}")
-    known = {
-        "tenant", "graph", "mtx", "profile", "seed", "algorithm", "kwargs",
-        "initial", "weights", "objective", "capacities", "deadline", "id",
-        "include_matching",
-    }
-    unknown = sorted(set(payload) - known)
-    _require(not unknown, f"unknown request fields: {', '.join(unknown)}")
-
-    tenant = payload.get("tenant", default_tenant)
+    envelope: dict = {}
+    if isinstance(payload, dict):
+        payload = dict(payload)
+        envelope = {name: payload.pop(name) for name in ENVELOPE_FIELDS if name in payload}
+    try:
+        job = parse_job(
+            payload, {"profile": default_profile, "seed": default_seed, "id": request_id}
+        )
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
+    tenant = envelope.get("tenant", default_tenant)
     _require(isinstance(tenant, str) and tenant, "'tenant' must be a non-empty string")
-    _require(
-        ("graph" in payload) != ("mtx" in payload),
-        "each request needs exactly one of 'graph' or 'mtx'",
-    )
-    profile = payload.get("profile", default_profile)
-    _require(isinstance(profile, str), "'profile' must be a string")
-    _require(
-        profile in SCALE_PROFILES,
-        f"unknown profile {profile!r}; choose from {sorted(SCALE_PROFILES)}",
-    )
-    seed = payload.get("seed", default_seed)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
-    kwargs = payload.get("kwargs", {})
-    _require(isinstance(kwargs, dict), "'kwargs' must be an object")
-    kwargs = dict(kwargs)
-    initial = payload.get("initial")
-    _require(
-        initial in INITIAL_CHOICES,
-        f"unknown warm-start {initial!r}; choose from {INITIAL_CHOICES}",
-    )
-    algorithm = str(payload.get("algorithm", "g-pr")).strip().lower()
-
-    weights = payload.get("weights")
-    weights_kind = None
-    if weights is not None:
-        _require(isinstance(weights, str), "'weights' must be a weight-spec string")
-        try:
-            weights_kind = parse_weight_spec(weights)[0]
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        _require(
-            weights_kind != "values" or "mtx" in payload,
-            "weight spec 'values' needs an 'mtx' source (suite instances carry no value entries)",
-        )
-    objective = payload.get("objective")
-    if objective is not None:
-        _require(objective in ("max", "min"), "'objective' must be 'max' or 'min'")
-        _require(
-            kwargs.get("objective", objective) == objective,
-            "'objective' conflicts with kwargs['objective']",
-        )
-        kwargs["objective"] = objective
-    capacities = payload.get("capacities")
-    if capacities is not None:
-        _require(isinstance(capacities, str), "'capacities' must be a capacity-spec string")
-        try:
-            parse_capacity_spec(capacities)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        spec_entry = SPECS.get(algorithm)
-        _require(
-            spec_entry is None or spec_entry.capacitated,
-            f"algorithm {algorithm!r} ignores vertex capacities; pick b-aug, "
-            "b-expand or b-auction, or drop 'capacities'",
-        )
-
-    deadline = payload.get("deadline", default_deadline)
+    deadline = envelope.get("deadline", default_deadline)
     if deadline is not None:
         _require(
             isinstance(deadline, (int, float)) and not isinstance(deadline, bool)
@@ -222,58 +100,14 @@ def parse_request(
             "'deadline' must be a positive number of seconds",
         )
         deadline = float(deadline)
-    include_matching = payload.get("include_matching", False)
+    include_matching = envelope.get("include_matching", False)
     _require(isinstance(include_matching, bool), "'include_matching' must be a boolean")
-    rid = payload.get("id", request_id)
-    _require(isinstance(rid, (str, int)), "'id' must be a string or integer")
-
-    try:
-        plan = validate_job_args(algorithm, kwargs, initial)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(str(exc)) from exc
-
-    if "mtx" in payload:
-        path = payload["mtx"]
-        _require(isinstance(path, str) and Path(path).is_file(),
-                 f"no such Matrix-Market file {path!r}")
-        weight_seed = seed if weights is not None and weights_kind != "values" else None
-        cap_seed = seed if capacities is not None else None
-        source = ("mtx", path, weights, weight_seed, capacities, cap_seed)
-        graph_label = Path(path).name
-    else:
-        ref = payload["graph"]
-        _require(isinstance(ref, str), "'graph' must be a string")
-        _require(
-            any(spec.name == ref or spec.instance_id == ref for spec in SUITE_SPECS),
-            f"unknown suite instance {ref!r} (see `repro.cli list` for the available names)",
-        )
-        source = ("suite", ref, profile, seed, weights, capacities)
-        graph_label = ref
-
-    return ServerRequest(
-        tenant=tenant,
-        algorithm=algorithm,
-        kwargs=kwargs,
-        initial=initial,
-        deadline=deadline,
-        request_id=str(rid),
-        include_matching=include_matching,
-        source=source,
-        graph_label=graph_label,
-        plan=plan,
-    )
+    return ServerRequest(job, tenant, deadline, include_matching)
 
 
 def build_job(request: ServerRequest, graphs: GraphCache) -> MatchingJob:
     """Materialise the request's graph (cached) and wrap it into a job."""
-    graph = graphs.resolve(request.source)
-    return MatchingJob(
-        graph=graph,
-        algorithm=request.algorithm,
-        kwargs=request.kwargs,
-        initial=request.initial,
-        job_id=request.request_id,
-    )
+    return request.job.to_job(graphs)
 
 
 def result_row(
@@ -314,31 +148,3 @@ def result_row(
     if fault_injection:
         row["injected_fault"] = injected
     return row
-
-
-def handle_row(
-    request: ServerRequest,
-    handle: JobHandle,
-    *,
-    server_seconds: float,
-    fault_injection: bool = False,
-) -> dict:
-    """Response row for a finished (or deadline-expired) engine handle."""
-    status = handle.status.value
-    if not handle.done():
-        # The await timed out past the deadline grace: report the deadline
-        # outcome now rather than holding the client while a stalled worker
-        # drains (the quota slot stays held until the handle terminates).
-        status = "timeout"
-    result = handle._result if handle.status.value == "ok" else None
-    return result_row(
-        request,
-        status=status,
-        result=result,
-        error=handle.failure,
-        worker=handle.worker,
-        seconds=handle.seconds,
-        server_seconds=server_seconds,
-        injected=getattr(handle, "injected_fault", None),
-        fault_injection=fault_injection,
-    )

@@ -12,7 +12,10 @@ A thin caching facade over the execution engine (:mod:`repro.engine`):
   exception);
 * :class:`~repro.service.cache.ResultCache` /
   :class:`~repro.service.cache.DiskCache` — in-memory LRU and persistent
-  result stores.
+  result stores;
+* :mod:`~repro.service.request` — the job-request schema
+  (:func:`~repro.service.request.parse_job`) and graph-recipe cache shared
+  by the CLI, manifests and the server.
 
 Quickstart
 ----------

@@ -259,13 +259,6 @@ def test_rpr005_handled_broad_except_is_clean():
     assert lint_source(source, "src/repro/tools/fixture.py") == []
 
 
-def test_rpr006_deprecated_algorithms_mapping():
-    source = "from repro.core.api import ALGORITHMS\nnames = list(ALGORITHMS)\n"
-    violations = lint_source(source, "src/repro/bench/fixture.py")
-    assert _codes(violations) == ["RPR006"]
-    assert violations[0].line == 1
-
-
 # --------------------------------------------------------------------------
 # framework behaviour
 # --------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def test_cli_lint_exit_codes(tmp_path):
 
     proc = _run_cli("lint", "--list-rules")
     assert proc.returncode == 0
-    for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+    for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
         assert code in proc.stdout
 
     proc = _run_cli("lint", str(tmp_path / "does-not-exist"))

@@ -146,6 +146,23 @@ def test_cli_run_mtx(tmp_path, capsys, tiny_graph):
     assert payload["cardinality"] == 3
 
 
+def test_cli_run_mtx_out_of_core_shards(tmp_path, capsys):
+    # Regression: the out-of-core ingest hands back a ShardedBipartiteGraph,
+    # which the payload code probed for capacities and crashed on.
+    from repro.generators import generate_instance
+    from repro.graph import write_matrix_market
+
+    path = tmp_path / "road.mtx"
+    write_matrix_market(generate_instance("roadNet-PA", profile="tiny"), path)
+    assert main(["run", "--mtx", str(path), "--algorithm", "hk"]) == 0
+    whole = json.loads(capsys.readouterr().out)
+    assert main(["run", "--mtx", str(path), "--algorithm", "hk", "--shards", "2"]) == 0
+    sharded = json.loads(capsys.readouterr().out)
+    assert sharded["shards"] == 2 and sharded["partition"] == "contiguous"
+    assert sharded["cardinality"] == whole["cardinality"]
+    assert "demand" not in sharded
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -340,16 +357,16 @@ def test_cli_batch_generates_structural_graph_once_across_weight_specs(
 ):
     # Regression: keying the memo on the weight spec regenerated the same
     # structural instance once per distinct spec.
-    import repro.cli as cli_module
+    import repro.service.request as request_module
 
     calls = []
-    original = cli_module.generate_instance
+    original = request_module.generate_instance
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "generate_instance", counting)
+    monkeypatch.setattr(request_module, "generate_instance", counting)
     manifest = tmp_path / "jobs.jsonl"
     manifest.write_text(
         '{"graph": "roadNet-PA", "algorithm": "weighted-sap", "weights": "uniform:1:9"}\n'
@@ -412,10 +429,10 @@ def test_cli_batch_weights_default_only_touches_weighted_jobs(tmp_path, capsys):
 def test_cli_batch_values_spec_requires_mtx_source(tmp_path, capsys, monkeypatch):
     # Regression: weights="values" on a suite instance only failed in phase 2,
     # after graph generation; also spec kinds are case-insensitive.
-    import repro.cli as cli_module
+    import repro.service.request as request_module
 
     monkeypatch.setattr(
-        cli_module, "generate_instance",
+        request_module, "generate_instance",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("graph built")),
     )
     manifest = tmp_path / "jobs.jsonl"
@@ -447,12 +464,12 @@ def test_cli_batch_rejects_bad_weight_spec_before_building_graphs(
 ):
     # Regression: a bad spec on the last line used to surface only in phase 2,
     # after every earlier graph had been generated.
-    import repro.cli as cli_module
+    import repro.service.request as request_module
 
     def exploding(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("graph generation ran before manifest validation finished")
 
-    monkeypatch.setattr(cli_module, "generate_instance", exploding)
+    monkeypatch.setattr(request_module, "generate_instance", exploding)
     manifest = tmp_path / "jobs.jsonl"
     manifest.write_text(
         '{"graph": "roadNet-PA", "id": "ok"}\n'

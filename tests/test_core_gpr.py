@@ -236,24 +236,6 @@ def test_api_algorithm_registry_complete():
         assert name in SPECS
 
 
-def test_legacy_algorithms_mapping_is_deprecated(tiny_graph):
-    import repro.core.api as api_module
-
-    with pytest.warns(DeprecationWarning, match="ALGORITHMS is deprecated"):
-        legacy = api_module.ALGORITHMS
-    assert set(legacy) == set(SPECS)
-    assert legacy["hk"](tiny_graph).cardinality == 3  # the shim still dispatches
-    with pytest.warns(DeprecationWarning):
-        again = api_module.ALGORITHMS
-    assert again is legacy  # stable identity, so legacy mutation patterns survive
-    with pytest.warns(DeprecationWarning):
-        import repro.core as core_module
-
-        core_module.ALGORITHMS
-    with pytest.raises(AttributeError):
-        api_module.NO_SUCH_ATTRIBUTE
-
-
 @pytest.mark.parametrize("name", sorted(MAXIMUM_ALGORITHMS))
 def test_api_every_maximum_algorithm(name, tiny_graph):
     result = max_bipartite_matching(tiny_graph, algorithm=name)

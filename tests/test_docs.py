@@ -6,12 +6,16 @@ Run by the CI ``docs`` job (and the tier-1 suite).  Two guarantees:
   that exists, so the docs tree cannot rot silently;
 * ``python -m repro.cli <subcommand> --help`` works for every subcommand,
   and ``docs/cli.md`` documents exactly the subcommands and flags the
-  parser actually exposes — so the CLI reference cannot drift.
+  parser actually exposes — so the CLI reference cannot drift;
+* the job request field table in ``docs/formats.md`` lists exactly the
+  fields ``parse_job`` accepts plus the server's envelope fields — so the
+  request schema cannot drift either.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import subprocess
@@ -90,3 +94,25 @@ def test_readme_documents_every_registered_algorithm():
     table = (REPO_ROOT / "README.md").read_text()
     for name in SPECS:
         assert f"`{name}`" in table, f"README's registry table lacks {name!r}"
+
+
+def test_job_field_table_matches_the_parser():
+    from repro.server.protocol import ENVELOPE_FIELDS
+    from repro.service.request import JOB_FIELDS
+
+    doc = (REPO_ROOT / "docs" / "formats.md").read_text()
+    lines = doc.split("### Job request fields", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in table
+        if line.startswith("| `")
+    ]
+    fields = {row[0].strip("`"): row[1] for row in rows}
+    assert len(fields) == len(rows), "a field is listed twice"
+    assert set(fields) == set(JOB_FIELDS) | set(ENVELOPE_FIELDS)
+    assert {name for name, where in fields.items() if where == "server only"} == set(
+        ENVELOPE_FIELDS
+    )
+    assert {name for name, where in fields.items() if where == "all"} == set(JOB_FIELDS)

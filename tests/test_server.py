@@ -133,6 +133,50 @@ def test_batch_validation_failure_rejects_whole_batch(server):
     assert "error" in body
 
 
+# One bad entry per drift the manifest loader and the server once disagreed
+# on: both must reject it before building anything, with the same message.
+_BAD_ENTRIES = [
+    ({"graph": GRAPH, "algoritm": "hk"}, "unknown request fields: algoritm"),
+    ({"graph": GRAPH, "seed": True}, "'seed' must be an integer"),
+    ({"graph": GRAPH, "algorithm": "hk", "weights": "uniform", "shards": 2},
+     "sharded matching is cardinality-only; drop 'weights' or 'shards'"),
+    ({"graph": GRAPH, "algorithm": "g-pr", "capacities": "rows:2"},
+     "algorithm 'g-pr' ignores vertex capacities; pick b-aug, b-expand or b-auction, "
+     "or drop 'capacities'"),
+    ({"graph": GRAPH, "algorithm": "weighted-sap", "weights": "values"},
+     "weight spec 'values' needs an 'mtx' source (suite instances carry no value entries)"),
+    ({"graph": "no-such-instance"},
+     "unknown suite instance 'no-such-instance' (see `repro.cli list` for the "
+     "available names)"),
+]
+
+
+@pytest.mark.parametrize("entry,message", _BAD_ENTRIES, ids=[m[:24] for _, m in _BAD_ENTRIES])
+def test_manifest_and_server_reject_bad_entries_alike(server, tmp_path, capsys, entry, message):
+    from repro.cli import main
+
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n")
+    assert main(["batch", "--manifest", str(manifest), "--profile", "tiny", "--no-cache"]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}:1: {message}\n"
+    assert _json(server.port, "POST", "/v1/match", entry) == (400, {"error": message})
+
+
+def test_manifest_and_server_accept_top_level_shards(server, tmp_path, capsys):
+    from repro.cli import main
+
+    entry = {"graph": GRAPH, "algorithm": "hk", "shards": 2, "id": "sharded"}
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n")
+    assert main(["batch", "--manifest", str(manifest), "--profile", "tiny", "--no-cache",
+                 "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["results"]
+    status, body = _json(server.port, "POST", "/v1/match", entry)
+    assert status == 200
+    assert row["status"] == body["status"] == "ok"
+    assert row["cardinality"] == body["cardinality"] > 0
+
+
 def test_metrics_document(server):
     status, doc = _json(server.port, "GET", "/metrics")
     assert status == 200
@@ -197,6 +241,29 @@ def test_queue_depth_sheds_with_429():
         assert status == 429
         assert body["reason"] == "queue-depth"
         thread.join()
+
+
+def test_engine_saturated_reject_is_counted_against_its_tenant(monkeypatch):
+    with MatchingServer(backend="thread", workers=1, default_profile="tiny") as server:
+        server.start_in_background()
+
+        def saturated(*args, **kwargs):
+            raise EngineSaturatedError("engine at max_inflight")
+
+        monkeypatch.setattr(server.engine, "submit", saturated)
+        payload = {"tenant": "t", "graph": GRAPH, "algorithm": "pr"}
+        status, body = _json(server.port, "POST", "/v1/match", payload)
+        assert (status, body["reason"]) == (429, "engine-saturated")
+        status, raw = _request(server.port, "POST", "/v1/batch",
+                               {"tenant": "t", "jobs": [{"graph": GRAPH, "algorithm": "hk"}]})
+        rows = [json.loads(line) for line in raw.decode().splitlines()]
+        assert status == 200
+        assert (rows[0]["status"], rows[0]["reason"]) == ("rejected", "engine-saturated")
+        admission = _json(server.port, "GET", "/metrics")[1]["admission"]
+        assert admission["rejected"] == 2
+        assert admission["rejected_by_reason"] == {"engine-saturated": 2}
+        assert admission["tenants"]["t"]["rejected"] == 2
+        assert admission["depth"] == 0  # both slots were handed back
 
 
 # ------------------------------------------------------- admission invariants
