@@ -17,8 +17,15 @@ from __future__ import annotations
 
 import tracemalloc
 
+# Everything the traced region runs is imported up front, so no rung of the
+# ladder pays import allocations inside its peak: ``mmap`` backs the shard
+# spill, ``np.unique`` imports ``numpy.ma`` on first use, and the ``hk``
+# solver would otherwise load when the matcher resolves its plan.
+import mmap  # noqa: F401
+import numpy.ma  # noqa: F401
 import pytest
 
+import repro.seq.hopcroft_karp  # noqa: F401
 from repro.core.api import max_bipartite_matching
 from repro.graph.io import read_matrix_market
 from repro.sharded import (

@@ -30,8 +30,7 @@ Quickstart
 True
 """
 
-from repro.graph import BipartiteGraph
-from repro.matching import Matching, MatchingResult
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -42,6 +41,11 @@ __all__ = [
     "max_bipartite_matching",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".graph": ("BipartiteGraph",),
+    ".matching": ("Matching", "MatchingResult"),
+})
 
 
 def max_bipartite_matching(graph, algorithm: str = "g-pr", **kwargs):

@@ -13,31 +13,7 @@
   ``perf-smoke`` job are thin wrappers over it).
 """
 
-from repro.bench.perfbaseline import (
-    PERF_ALGORITHMS,
-    PerfComparison,
-    PerfDelta,
-    capture,
-    compare,
-    load_baseline,
-    save_baseline,
-)
-from repro.bench.harness import (
-    AlgorithmRun,
-    InstanceResult,
-    SuiteRunner,
-    geometric_mean,
-    modeled_seconds_for,
-)
-from repro.bench.profiles import performance_profile, speedup_profile
-from repro.bench.reports import (
-    build_figure1,
-    build_figure2,
-    build_figure3,
-    build_figure4,
-    build_table1,
-    render_table,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PERF_ALGORITHMS",
@@ -61,3 +37,31 @@ __all__ = [
     "build_table1",
     "render_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".perfbaseline": (
+        "PERF_ALGORITHMS",
+        "PerfComparison",
+        "PerfDelta",
+        "capture",
+        "compare",
+        "load_baseline",
+        "save_baseline",
+    ),
+    ".harness": (
+        "AlgorithmRun",
+        "InstanceResult",
+        "SuiteRunner",
+        "geometric_mean",
+        "modeled_seconds_for",
+    ),
+    ".profiles": ("performance_profile", "speedup_profile"),
+    ".reports": (
+        "build_figure1",
+        "build_figure2",
+        "build_figure3",
+        "build_figure4",
+        "build_table1",
+        "render_table",
+    ),
+})

@@ -19,9 +19,8 @@ import numpy as np
 from repro.core.api import ExecutionPlan, resolve_algorithm
 from repro.engine import Engine, ExecutionBackend, MatchingJob, create_backend
 from repro.generators.suite import SUITE_SPECS, SuiteInstance, generate_instance
-from repro.gpusim.costmodel import CpuCostModel
+from repro.gpusim.costmodel import modeled_seconds_for
 from repro.gpusim.device import DeviceSpec, VirtualGPU
-from repro.matching import MatchingResult
 from repro.seq.greedy import cheap_matching
 
 __all__ = [
@@ -33,11 +32,6 @@ __all__ = [
     "reference_device",
 ]
 
-_CPU_MODEL = CpuCostModel()
-
-#: Counter keys that constitute "work" for the sequential cost model.
-_SEQ_WORK_KEYS = ("edges_scanned", "gr_edges_scanned", "relabels")
-
 
 def reference_device() -> VirtualGPU:
     """The virtual device used throughout the benchmark harness.
@@ -47,20 +41,6 @@ def reference_device() -> VirtualGPU:
     synthetic instance suite.
     """
     return VirtualGPU(DeviceSpec().scaled())
-
-
-def modeled_seconds_for(result: MatchingResult) -> float:
-    """Modelled seconds of a result, deriving them for CPU algorithms.
-
-    GPU and multicore algorithms carry their own cost-model time; sequential
-    algorithms report work counters that are converted with the CPU model.
-    """
-    if result.modeled_time is not None:
-        return float(result.modeled_time)
-    work = sum(float(result.counters.get(key, 0.0)) for key in _SEQ_WORK_KEYS)
-    if work == 0.0:
-        work = float(result.counters.get("kernel_total_work", 0.0))
-    return _CPU_MODEL.seconds(work)
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -57,6 +57,7 @@ from pathlib import Path
 
 from repro.bench.harness import SuiteRunner, geometric_mean
 from repro.core.api import resolve_algorithm
+from repro.perfgate import CROSS_PROFILE_SLACK, DEFAULT_MODELED_TOLERANCE, DEFAULT_WALL_TOLERANCE
 
 __all__ = [
     "CROSS_PROFILE_SLACK",
@@ -82,15 +83,6 @@ PERF_ALGORITHMS: dict[str, str] = {
     "PR": "pr",
     "P-DBFS": "p-dbfs",
 }
-
-#: Wall-clock noise tolerance (ratio current/baseline) for same-profile runs.
-DEFAULT_WALL_TOLERANCE = 2.5
-#: Modeled-seconds tolerance; modeled times are deterministic counter
-#: arithmetic, so anything beyond float formatting is a real work change.
-DEFAULT_MODELED_TOLERANCE = 1.05
-#: Extra multiplier applied to both tolerances when the compared runs used
-#: different profiles (per-edge normalisation transfers only approximately).
-CROSS_PROFILE_SLACK = 3.0
 
 
 def _perf_plans(shards: int | None = None, partition: str | None = None):

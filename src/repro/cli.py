@@ -55,18 +55,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench import perfbaseline
-from repro.bench.harness import SuiteRunner, modeled_seconds_for
-from repro.bench.reports import build_figure1, build_figure2, build_figure3, build_figure4, build_table1, render_table
-from repro.capacity import assignment_demand
-from repro.core.api import SPECS, resolve_algorithm
-from repro.dynamic import IncrementalMatcher, read_update_trace
-from repro.engine import BACKEND_NAMES, Engine, FaultSchedule, JobError
-from repro.generators.scenarios import generate_scenario, scenario_names
-from repro.generators.suite import instance_names
-from repro.generators.updates import random_update_trace
-from repro.service import DiskCache, MatchingJob, MatchingService
-from repro.service.request import GraphCache, parse_job
+# Only the standard library loads with this module: each ``_cmd_*`` imports
+# the layers it runs, so ``--help`` and argument errors never pay for NumPy,
+# and ``run`` never loads the bench harness, the engine or the server.
 
 __all__ = ["main"]
 
@@ -81,6 +72,9 @@ def _job_entry(args: argparse.Namespace, *fields: str) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.gpusim.costmodel import modeled_seconds_for
+    from repro.service.request import GraphCache, parse_job
+
     # Only input handling lives in the guard: a solver bug must surface as a
     # traceback, not masquerade as the exit-2 bad-input contract.
     try:
@@ -116,6 +110,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload["total_weight"] = result.counters["total_weight"]
         payload["objective"] = result.counters["objective"]
     if request.recipe.capacities is not None:
+        from repro.capacity import assignment_demand
+
         demand = assignment_demand(graph)
         payload["demand"] = demand
         payload["assignment_rate"] = round(
@@ -140,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_manifest(path: str, defaults: dict) -> list[MatchingJob]:
+def _load_manifest(path: str, defaults: dict) -> list:
     """Parse a JSONL job manifest into :class:`MatchingJob` objects.
 
     Each non-blank, non-``#`` line is one job entry for
@@ -149,6 +145,8 @@ def _load_manifest(path: str, defaults: dict) -> list[MatchingJob]:
     a malformed last line costs milliseconds, not the generation work of
     the lines above it; errors name the ``path:line:``.
     """
+    from repro.service.request import GraphCache, parse_job
+
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -210,6 +208,8 @@ def _summary_row(report, args: argparse.Namespace, backend: str) -> dict:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.service import DiskCache, MatchingService
+
     try:
         jobs = _load_manifest(args.manifest, {
             name: getattr(args, name) for name in
@@ -267,6 +267,14 @@ def _chunked(items: list, size: int):
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.capacity import assignment_demand
+    from repro.core.api import resolve_algorithm
+    from repro.dynamic import IncrementalMatcher, read_update_trace
+    from repro.engine import Engine, JobError, MatchingJob
+    from repro.generators.scenarios import generate_scenario
+    from repro.generators.updates import random_update_trace
+    from repro.service.request import GraphCache, parse_job
+
     scenario = None
     if args.scenario is not None:
         conflicts = [
@@ -472,6 +480,7 @@ def _cmd_perf_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
+    from repro.bench import perfbaseline
     from repro.compiled.dispatch import capability_report
 
     if args.calibrate:
@@ -579,6 +588,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.core.api import SPECS
+    from repro.engine import BACKEND_NAMES
+    from repro.generators.suite import instance_names
+
     print("suite instances:")
     for name in instance_names():
         print(f"  {name}")
@@ -619,6 +632,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.bench.harness import SuiteRunner
+    from repro.bench.reports import build_table1, render_table
+
     runner = SuiteRunner(profile=args.profile, seed=args.seed,
                          instances=args.instances or None)
     table = build_table1(runner.run())
@@ -627,6 +643,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.bench.harness import SuiteRunner
+    from repro.bench.reports import build_figure1, build_figure2, build_figure3, build_figure4
+
     if args.figure == 1:
         cells = build_figure1(profile=args.profile, seed=args.seed,
                               instances=args.instances or None)
@@ -660,6 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from repro.engine import FaultSchedule
     from repro.server import MatchingServer, QuotaPolicy
 
     schedule = None
@@ -707,6 +727,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for the CLI tests)."""
+    # Every list and figure the parser shows is defined where importing it
+    # loads no NumPy.
+    from repro import perfgate
+    from repro.core.api import SPECS
+    from repro.engine import BACKEND_NAMES
+    from repro.generators import SCENARIO_NAMES
+
     parser = argparse.ArgumentParser(prog="repro-matching", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -773,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to a JSONL update trace ('-' for stdin)")
     stream.add_argument("--synthesize", type=int, default=None, metavar="N",
                         help="generate a seeded random trace of N updates instead of --trace")
-    stream.add_argument("--scenario", default=None, choices=scenario_names(),
+    stream.add_argument("--scenario", default=None, choices=SCENARIO_NAMES,
                         help="replay a packaged capacitated dispatch scenario "
                              "(graph, churn trace and SLO) instead of --trace/--synthesize")
     stream.add_argument("--capacities", default=None, metavar="SPEC",
@@ -826,12 +853,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the fresh capture to this report file")
     perf.add_argument("--wall-tolerance", type=float, default=None,
                       help=f"wall-clock regression ratio (default "
-                           f"{perfbaseline.DEFAULT_WALL_TOLERANCE}, scaled "
-                           f"{perfbaseline.CROSS_PROFILE_SLACK}x across profiles)")
+                           f"{perfgate.DEFAULT_WALL_TOLERANCE}, scaled "
+                           f"{perfgate.CROSS_PROFILE_SLACK}x across profiles)")
     perf.add_argument("--modeled-tolerance", type=float, default=None,
                       help=f"modeled-seconds regression ratio (default "
-                           f"{perfbaseline.DEFAULT_MODELED_TOLERANCE}, scaled "
-                           f"{perfbaseline.CROSS_PROFILE_SLACK}x across profiles)")
+                           f"{perfgate.DEFAULT_MODELED_TOLERANCE}, scaled "
+                           f"{perfgate.CROSS_PROFILE_SLACK}x across profiles)")
     perf.add_argument("--calibrate", action="store_true",
                       help="fit measured per-kernel wall time against the cost-model "
                            "predictions and report the most divergent kernels "

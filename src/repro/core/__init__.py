@@ -12,22 +12,7 @@ Public entry points
     The GPU augmenting-path comparator G-HKDW.
 """
 
-from repro.core.api import (
-    MAXIMUM_ALGORITHMS,
-    SPECS,
-    AlgorithmSpec,
-    ExecutionPlan,
-    max_bipartite_matching,
-    resolve_algorithm,
-)
-from repro.core.ghkdw import ghkdw_matching
-from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
-from repro.core.strategies import (
-    AdaptiveStrategy,
-    FixedStrategy,
-    GlobalRelabelStrategy,
-    parse_strategy,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "max_bipartite_matching",
@@ -46,3 +31,16 @@ __all__ = [
     "parse_strategy",
 ]
 
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": (
+        "MAXIMUM_ALGORITHMS",
+        "SPECS",
+        "AlgorithmSpec",
+        "ExecutionPlan",
+        "max_bipartite_matching",
+        "resolve_algorithm",
+    ),
+    ".ghkdw": ("ghkdw_matching",),
+    ".gpr": ("GPRConfig", "GPRVariant", "gpr_matching"),
+    ".strategies": ("AdaptiveStrategy", "FixedStrategy", "GlobalRelabelStrategy", "parse_strategy"),
+})

@@ -18,26 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
-import enum
+import importlib
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.capacity.augment import capacitated_augment_matching
-from repro.capacity.auction import capacitated_auction_matching
-from repro.capacity.expand import capacitated_expand_matching
-from repro.core.ghkdw import ghkdw_matching
-from repro.core.gpr import GPRConfig, GPRVariant, gpr_matching
-from repro.graph.bipartite import BipartiteGraph
-from repro.gpusim.device import VirtualGPU
-from repro.matching import Matching, MatchingResult
-from repro.multicore.pdbfs import PDBFSConfig, pdbfs_matching
-from repro.seq.greedy import cheap_matching, karp_sipser_matching
-from repro.seq.hopcroft_karp import hkdw_matching, hopcroft_karp_matching
-from repro.seq.pothen_fan import pothen_fan_matching
-from repro.seq.push_relabel import PushRelabelConfig, push_relabel_matching
-from repro.weighted.auction import AuctionConfig, weighted_auction_matching
-from repro.weighted.sap import SAPConfig, weighted_sap_matching
+if TYPE_CHECKING:
+    from repro.graph.bipartite import BipartiteGraph
+    from repro.gpusim.device import VirtualGPU
+    from repro.matching import Matching, MatchingResult
 
 __all__ = [
     "MAXIMUM_ALGORITHMS",
@@ -50,29 +39,42 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- specs
+def _load(path: str) -> Any:
+    """The object a ``"module:name"`` path names, importing the module."""
+    module, name = path.split(":")
+    return getattr(importlib.import_module(module), name)
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Registry entry describing one algorithm and what it accepts.
+
+    The solver and its config class are named by ``"module:name"`` paths,
+    so reading the registry imports no solver: :func:`resolve_algorithm`
+    imports the chosen entry's module when it builds the plan.
 
     Attributes
     ----------
     name:
         Canonical (lower-case) registry key.
-    runner:
-        ``runner(graph, initial, config, device, **extra) -> MatchingResult``.
-        Runners for algorithms without a config or device simply ignore those
-        positions; argument validation happens in :func:`resolve_algorithm`,
-        never here.
+    solver:
+        Path of ``solver(graph, **kwargs) -> MatchingResult``.  The solver
+        is called with ``initial=`` when :attr:`accepts_initial`,
+        ``config=`` when the entry has a :attr:`config`, ``device=`` when
+        :attr:`accepts_device`, plus the given :attr:`extra_params`;
+        argument validation happens in :func:`resolve_algorithm`, never in
+        the solver call.
     maximum:
         Whether the algorithm guarantees a *maximum* cardinality matching.
-    config_cls:
-        Dataclass of tuning knobs (``GPRConfig``, ``PushRelabelConfig``,
-        ``PDBFSConfig``) or ``None`` for knob-free algorithms.
+    config:
+        Path of the dataclass of tuning knobs (``GPRConfig``,
+        ``PushRelabelConfig``, ``PDBFSConfig``, ...) or ``None`` for
+        knob-free algorithms; :attr:`config_cls` loads it.
     config_overrides:
         Config fields pinned by the registry entry (e.g. the G-PR variant);
         they cannot be overridden by keyword arguments.
     extra_params:
-        Non-config keyword arguments the runner accepts (e.g. ``max_phases``
+        Non-config keyword arguments the solver accepts (e.g. ``max_phases``
         for G-HKDW, ``seed`` for the greedy heuristics).
     accepts_device:
         Whether the algorithm runs on the virtual GPU.
@@ -80,7 +82,7 @@ class AlgorithmSpec:
         Whether the algorithm consumes a warm-start matching (the greedy
         initialisation heuristics do not — they *produce* one).
     entropy_seeded:
-        Whether the runner draws from an entropy-seeded RNG when no ``seed``
+        Whether the solver draws from an entropy-seeded RNG when no ``seed``
         is given, making unseeded runs non-deterministic (Karp–Sipser);
         consumers like the service's result cache must not memoize such runs.
     weighted:
@@ -96,9 +98,9 @@ class AlgorithmSpec:
     """
 
     name: str
-    runner: Callable[..., MatchingResult]
+    solver: str
     maximum: bool = True
-    config_cls: type | None = None
+    config: str | None = None
     config_overrides: Mapping[str, Any] = field(default_factory=dict)
     extra_params: tuple[str, ...] = ()
     accepts_device: bool = False
@@ -107,11 +109,17 @@ class AlgorithmSpec:
     weighted: bool = False
     capacitated: bool = False
 
+    @property
+    def config_cls(self) -> type | None:
+        """The config dataclass (imports its module), or ``None``."""
+        return None if self.config is None else _load(self.config)
+
     def config_fields(self) -> frozenset[str]:
         """Config-dataclass fields settable through keyword arguments."""
-        if self.config_cls is None:
+        config_cls = self.config_cls
+        if config_cls is None:
             return frozenset()
-        names = {f.name for f in dataclasses.fields(self.config_cls)}
+        names = {f.name for f in dataclasses.fields(config_cls)}
         return frozenset(names - set(self.config_overrides))
 
     def accepted_kwargs(self) -> tuple[str, ...]:
@@ -125,13 +133,15 @@ class ExecutionPlan:
 
     A plan is graph-independent: build it once with
     :func:`resolve_algorithm`, then :meth:`run` it on any number of graphs.
-    ``device_factory`` (rather than a device instance) is stored so every run
-    of a GPU algorithm gets a fresh virtual device and therefore a clean
-    cost-model ledger.
+    ``solver`` is the entry's solver function, imported when the plan was
+    resolved, so running a plan never imports.  ``device_factory`` (rather
+    than a device instance) is stored so every run of a GPU algorithm gets
+    a fresh virtual device and therefore a clean cost-model ledger.
     """
 
     algorithm: str
     spec: AlgorithmSpec
+    solver: Callable[..., MatchingResult]
     config: Any | None = None
     device_factory: Callable[[], VirtualGPU] | None = None
     extra: tuple[tuple[str, Any], ...] = ()
@@ -160,12 +170,16 @@ class ExecutionPlan:
                 f"algorithm {self.algorithm!r} produces an initial matching; "
                 "it does not accept a warm-start"
             )
-        if initial is not None:
-            initial.check_compatible(graph, context="warm-start matching")
-        device = None
-        if self.spec.accepts_device and self.device_factory is not None:
-            device = self.device_factory()
-        return self.spec.runner(graph, initial, self.config, device, **dict(self.extra))
+        kwargs = dict(self.extra)
+        if self.spec.accepts_initial:
+            if initial is not None:
+                initial.check_compatible(graph, context="warm-start matching")
+            kwargs["initial"] = initial
+        if self.spec.config is not None:
+            kwargs["config"] = self.config
+        if self.spec.accepts_device:
+            kwargs["device"] = None if self.device_factory is None else self.device_factory()
+        return self.solver(graph, **kwargs)
 
     def _run_sharded(self, graph, initial):
         # Imported lazily: repro.sharded pulls in the engine, which resolves
@@ -188,68 +202,12 @@ class ExecutionPlan:
         return matcher.run()
 
 
-# ------------------------------------------------------------------- runners
-def _run_gpr(graph, initial, config, device, **_):
-    return gpr_matching(graph, initial=initial, config=config, device=device)
 
-
-def _run_ghkdw(graph, initial, config, device, *, max_phases=None):
-    return ghkdw_matching(graph, initial=initial, device=device, max_phases=max_phases)
-
-
-def _run_pdbfs(graph, initial, config, device, **_):
-    return pdbfs_matching(graph, initial=initial, config=config)
-
-
-def _run_pr(graph, initial, config, device, **_):
-    return push_relabel_matching(graph, initial=initial, config=config)
-
-
-def _run_hk(graph, initial, config, device, **_):
-    return hopcroft_karp_matching(graph, initial=initial)
-
-
-def _run_hkdw(graph, initial, config, device, **_):
-    return hkdw_matching(graph, initial=initial)
-
-
-def _run_pfp(graph, initial, config, device, **_):
-    return pothen_fan_matching(graph, initial=initial)
-
-
-def _run_cheap(graph, initial, config, device, *, seed=None):
-    return cheap_matching(graph, seed=seed)
-
-
-def _run_karp_sipser(graph, initial, config, device, *, seed=None):
-    return karp_sipser_matching(graph, seed=seed)
-
-
-def _run_weighted_sap(graph, initial, config, device, **_):
-    return weighted_sap_matching(graph, config=config)
-
-
-def _run_weighted_auction(graph, initial, config, device, **_):
-    return weighted_auction_matching(graph, config=config, device=device)
-
-
-def _run_b_expand(graph, initial, config, device, *, inner="hk"):
-    return capacitated_expand_matching(graph, inner=inner)
-
-
-def _run_b_aug(graph, initial, config, device, **_):
-    return capacitated_augment_matching(graph, initial=initial)
-
-
-def _run_b_auction(graph, initial, config, device, **_):
-    return capacitated_auction_matching(graph, config=config, device=device)
-
-
-def _gpr_spec(name: str, variant: GPRVariant) -> AlgorithmSpec:
+def _gpr_spec(name: str, variant: str) -> AlgorithmSpec:
     return AlgorithmSpec(
         name=name,
-        runner=_run_gpr,
-        config_cls=GPRConfig,
+        solver="repro.core.gpr:gpr_matching",
+        config="repro.core.gpr:GPRConfig",
         config_overrides={"variant": variant},
         accepts_device=True,
     )
@@ -260,38 +218,46 @@ SPECS: dict[str, AlgorithmSpec] = {
     spec.name: spec
     for spec in (
         # the paper's contribution (three variants; "g-pr" is the final configuration)
-        _gpr_spec("g-pr", GPRVariant.SHRINK),
-        _gpr_spec("g-pr-first", GPRVariant.FIRST),
-        _gpr_spec("g-pr-noshrink", GPRVariant.NO_SHRINK),
-        _gpr_spec("g-pr-shrink", GPRVariant.SHRINK),
+        _gpr_spec("g-pr", "shrink"),
+        _gpr_spec("g-pr-first", "first"),
+        _gpr_spec("g-pr-noshrink", "noshrink"),
+        _gpr_spec("g-pr-shrink", "shrink"),
         # GPU comparator
         AlgorithmSpec(
             name="g-hkdw",
-            runner=_run_ghkdw,
+            solver="repro.core.ghkdw:ghkdw_matching",
             extra_params=("max_phases",),
             accepts_device=True,
         ),
         # multicore comparator
-        AlgorithmSpec(name="p-dbfs", runner=_run_pdbfs, config_cls=PDBFSConfig),
+        AlgorithmSpec(
+            name="p-dbfs",
+            solver="repro.multicore.pdbfs:pdbfs_matching",
+            config="repro.multicore.pdbfs:PDBFSConfig",
+        ),
         # sequential baselines
-        AlgorithmSpec(name="pr", runner=_run_pr, config_cls=PushRelabelConfig),
-        AlgorithmSpec(name="hk", runner=_run_hk),
-        AlgorithmSpec(name="hkdw", runner=_run_hkdw),
-        AlgorithmSpec(name="pfp", runner=_run_pfp),
+        AlgorithmSpec(
+            name="pr",
+            solver="repro.seq.push_relabel:push_relabel_matching",
+            config="repro.seq.push_relabel:PushRelabelConfig",
+        ),
+        AlgorithmSpec(name="hk", solver="repro.seq.hopcroft_karp:hopcroft_karp_matching"),
+        AlgorithmSpec(name="hkdw", solver="repro.seq.hopcroft_karp:hkdw_matching"),
+        AlgorithmSpec(name="pfp", solver="repro.seq.pothen_fan:pothen_fan_matching"),
         # weighted assignment (optimal weight among maximum-cardinality
         # matchings; unit weights on structural graphs).  Neither consumes a
         # warm start — their dual certificates must be built from scratch.
         AlgorithmSpec(
             name="weighted-sap",
-            runner=_run_weighted_sap,
-            config_cls=SAPConfig,
+            solver="repro.weighted.sap:weighted_sap_matching",
+            config="repro.weighted.sap:SAPConfig",
             accepts_initial=False,
             weighted=True,
         ),
         AlgorithmSpec(
             name="weighted-auction",
-            runner=_run_weighted_auction,
-            config_cls=AuctionConfig,
+            solver="repro.weighted.auction:weighted_auction_matching",
+            config="repro.weighted.auction:AuctionConfig",
             accepts_device=True,
             accepts_initial=False,
             weighted=True,
@@ -301,20 +267,20 @@ SPECS: dict[str, AlgorithmSpec] = {
         # capacity is 1, so capacity-free runs are bit-identical to it)
         AlgorithmSpec(
             name="b-expand",
-            runner=_run_b_expand,
+            solver="repro.capacity.expand:capacitated_expand_matching",
             extra_params=("inner",),
             accepts_initial=False,
             capacitated=True,
         ),
         AlgorithmSpec(
             name="b-aug",
-            runner=_run_b_aug,
+            solver="repro.capacity.augment:capacitated_augment_matching",
             capacitated=True,
         ),
         AlgorithmSpec(
             name="b-auction",
-            runner=_run_b_auction,
-            config_cls=AuctionConfig,
+            solver="repro.capacity.auction:capacitated_auction_matching",
+            config="repro.weighted.auction:AuctionConfig",
             accepts_device=True,
             accepts_initial=False,
             weighted=True,
@@ -323,14 +289,14 @@ SPECS: dict[str, AlgorithmSpec] = {
         # greedy heuristics (not maximum; exposed for initialisation studies)
         AlgorithmSpec(
             name="cheap",
-            runner=_run_cheap,
+            solver="repro.seq.greedy:cheap_matching",
             maximum=False,
             extra_params=("seed",),
             accepts_initial=False,
         ),
         AlgorithmSpec(
             name="karp-sipser",
-            runner=_run_karp_sipser,
+            solver="repro.seq.greedy:karp_sipser_matching",
             maximum=False,
             extra_params=("seed",),
             accepts_initial=False,
@@ -443,12 +409,13 @@ def resolve_algorithm(
             f"accepted: {list(accepted) if accepted else 'none'}"
         )
 
+    config_cls = spec.config_cls
     if config is not None:
-        if spec.config_cls is None:
+        if config_cls is None:
             raise TypeError(f"algorithm {key!r} does not take a config")
-        if not isinstance(config, spec.config_cls):
+        if not isinstance(config, config_cls):
             raise TypeError(
-                f"algorithm {key!r} expects a {spec.config_cls.__name__}, "
+                f"algorithm {key!r} expects a {config_cls.__name__}, "
                 f"got {type(config).__name__}"
             )
         if config_kwargs:
@@ -458,22 +425,18 @@ def resolve_algorithm(
             )
         for field_name, pinned in spec.config_overrides.items():
             given = getattr(config, field_name)
-            if isinstance(pinned, enum.Enum):
-                try:
-                    given = type(pinned)(given)
-                except ValueError:
-                    pass
             if given != pinned:
                 raise TypeError(
                     f"algorithm {key!r} pins {field_name}={pinned!r}; "
-                    f"got a config with {field_name}={getattr(config, field_name)!r}"
+                    f"got a config with {field_name}={given!r}"
                 )
-    elif spec.config_cls is not None:
-        config = spec.config_cls(**{**dict(spec.config_overrides), **config_kwargs})
+    elif config_cls is not None:
+        config = config_cls(**{**dict(spec.config_overrides), **config_kwargs})
 
     return ExecutionPlan(
         algorithm=key,
         spec=spec,
+        solver=_load(spec.solver),
         config=config,
         device_factory=device_factory,
         extra=tuple(sorted(extra_kwargs.items())),

@@ -115,15 +115,15 @@ def _augment_phase(
 
     Returns the number of augmentations performed.
     """
-    col_ptr, col_ind = graph.col_ptr, graph.col_ind
     start_cols = np.flatnonzero(mu_col == UNMATCHED)
     if use_level:
         start_cols = start_cols[level[start_cols] != _INF]
     if len(start_cols) == 0:
         gpu.charge_kernel(kernel_name, np.ones(1))
         return 0
+    recording = _compiled.recording(mu_row, mu_col, level)
     fn = _compiled.implementation_for("ghkdw_augment")
-    if fn is not None and not _compiled.recording(mu_row, mu_col, level):
+    if fn is not None and not recording:
         thread_work, augmented = fn(
             graph.col_ptr,
             graph.col_ind,
@@ -138,50 +138,64 @@ def _augment_phase(
         )
         gpu.charge_kernel(kernel_name, thread_work)
         return int(augmented)
-    row_claimed = np.zeros(graph.n_rows, dtype=bool)
+    col_ptr, col_ind = graph.csr_lists("col")
+    if recording:
+        # The race sanitizer's shadow arrays must see every access.
+        row_mate, col_mate, levels = mu_row, mu_col, level
+    else:
+        # Scalar reads of Python lists are several times cheaper than of
+        # ndarrays; the lists are written back once, after the launch.
+        row_mate, col_mate, levels = mu_row.tolist(), mu_col.tolist(), level.tolist()
+    infinity = int(_INF)
+    row_claimed = bytearray(graph.n_rows)
+    claimed: list[int] = []  # undo log of this thread's claims
     thread_work = np.ones(len(start_cols), dtype=np.float64)
     augmented = 0
 
     # hot-path compiled=ghkdw_augment
-    for t, start in enumerate(start_cols):
+    for t, start in enumerate(start_cols.tolist()):
         if not shared_claims:
-            row_claimed = np.zeros(graph.n_rows, dtype=bool)
-        stack: list[list[int]] = [[int(start), int(col_ptr[start])]]
+            for u in claimed:
+                row_claimed[u] = 0
+        claimed.clear()
+        stack: list[list[int]] = [[start, col_ptr[start]]]
         path_rows: list[int] = []
         work = 1.0
         success = False
         while stack and not success:
             v, idx = stack[-1]
-            stop = int(col_ptr[v + 1])
+            stop = col_ptr[v + 1]
             advanced = False
             while idx < stop:
-                u = int(col_ind[idx])
+                u = col_ind[idx]
                 idx += 1
                 work += 1.0
                 if row_claimed[u]:
                     continue
-                w = int(mu_row[u])
+                w = row_mate[u]
                 if w == UNMATCHED:
-                    row_claimed[u] = True
-                    mu_row[u] = v
-                    mu_col[v] = u
+                    row_claimed[u] = 1
+                    claimed.append(u)
+                    row_mate[u] = v
+                    col_mate[v] = u
                     for depth in range(len(stack) - 2, -1, -1):
                         prev_col = stack[depth][0]
                         prev_row = path_rows[depth]
-                        mu_row[prev_row] = prev_col
-                        mu_col[prev_col] = prev_row
+                        row_mate[prev_row] = prev_col
+                        col_mate[prev_col] = prev_row
                     augmented += 1
                     success = True
                     break
                 if use_level:
-                    if restrict_levels and level[w] != level[v] + 1:
+                    if restrict_levels and levels[w] != levels[v] + 1:
                         continue
-                    if not restrict_levels and level[w] == _INF:
+                    if not restrict_levels and levels[w] == infinity:
                         continue
-                row_claimed[u] = True
+                row_claimed[u] = 1
+                claimed.append(u)
                 stack[-1][1] = idx
                 path_rows.append(u)
-                stack.append([w, int(col_ptr[w])])
+                stack.append([w, col_ptr[w]])
                 advanced = True
                 break
             if success:
@@ -195,6 +209,9 @@ def _augment_phase(
                     path_rows.pop()
         thread_work[t] = work
     # end hot-path
+    if not recording:
+        mu_row[:] = row_mate
+        mu_col[:] = col_mate
     gpu.charge_kernel(kernel_name, thread_work)
     return augmented
 

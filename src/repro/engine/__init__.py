@@ -38,33 +38,12 @@ Quickstart
 True
 """
 
-from repro.engine.backends import (
-    CompiledBackend,
-    ExecutionBackend,
-    InlineBackend,
-    ThreadBackend,
-)
-from repro.engine.device import DevicePoolBackend
-from repro.engine.engine import (
-    BACKEND_NAMES,
-    Engine,
-    EngineSaturatedError,
-    as_completed,
-    create_backend,
-)
-from repro.engine.execution import execute_job, resolve_job_plan
-from repro.engine.faults import FaultInjectingBackend, FaultSchedule, InjectedCrashError
-from repro.engine.handles import (
-    JobCancelledError,
-    JobError,
-    JobFailedError,
-    JobFailure,
-    JobHandle,
-    JobStatus,
-    JobTimeoutError,
-)
-from repro.engine.job import INITIAL_CHOICES, MatchingJob
-from repro.engine.process import ProcessPoolBackend
+from repro._lazy import lazy_exports
+
+#: Names of the execution backends :func:`create_backend` builds.  Defined
+#: here, where importing it loads no backend, so the CLI parser can offer
+#: them as choices without loading NumPy.
+BACKEND_NAMES = ("inline", "thread", "process", "device", "compiled")
 
 __all__ = [
     "BACKEND_NAMES",
@@ -93,3 +72,22 @@ __all__ = [
     "execute_job",
     "resolve_job_plan",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": ("CompiledBackend", "ExecutionBackend", "InlineBackend", "ThreadBackend"),
+    ".device": ("DevicePoolBackend",),
+    ".engine": ("Engine", "EngineSaturatedError", "as_completed", "create_backend"),
+    ".execution": ("execute_job", "resolve_job_plan"),
+    ".faults": ("FaultInjectingBackend", "FaultSchedule", "InjectedCrashError"),
+    ".handles": (
+        "JobCancelledError",
+        "JobError",
+        "JobFailedError",
+        "JobFailure",
+        "JobHandle",
+        "JobStatus",
+        "JobTimeoutError",
+    ),
+    ".job": ("INITIAL_CHOICES", "MatchingJob"),
+    ".process": ("ProcessPoolBackend",),
+})

@@ -27,6 +27,7 @@ import weakref
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.api import ExecutionPlan
+from repro.engine import BACKEND_NAMES
 from repro.engine.backends import (
     CompiledBackend,
     ExecutionBackend,
@@ -47,9 +48,6 @@ __all__ = [
     "as_completed",
     "create_backend",
 ]
-
-#: Registry names accepted by :func:`create_backend` / ``Engine(backend=...)``.
-BACKEND_NAMES = ("inline", "thread", "process", "device", "compiled")
 
 
 class EngineSaturatedError(RuntimeError):

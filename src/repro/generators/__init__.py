@@ -13,46 +13,13 @@ Every generator is deterministic given a seed and returns a
 :class:`~repro.graph.bipartite.BipartiteGraph`.
 """
 
-from repro.generators.mesh import (
-    delaunay_like_graph,
-    grid_graph,
-    road_network_graph,
-)
-from repro.generators.powerlaw import chung_lu_bipartite, power_law_web_graph
-from repro.generators.random_bipartite import (
-    perfect_matching_plus_noise,
-    uniform_random_bipartite,
-)
-from repro.generators.rmat import kronecker_graph, rmat_bipartite
-from repro.generators.suite import (
-    SUITE_SPECS,
-    SuiteInstance,
-    generate_instance,
-    generate_suite,
-    instance_names,
-    materialize_instance,
-)
-from repro.generators.capacities import (
-    apply_capacity_spec,
-    col_capacities,
-    fixed_capacities,
-    row_capacities,
-    uniform_capacities,
-)
-from repro.generators.scenarios import (
-    SCENARIOS,
-    Scenario,
-    generate_scenario,
-    scenario_names,
-)
-from repro.generators.trace import bubbles_graph, trace_graph
-from repro.generators.updates import random_update_trace, suite_update_workload
-from repro.generators.weights import (
-    apply_weight_spec,
-    geometric_weights,
-    rank_correlated_weights,
-    uniform_weights,
-)
+from repro._lazy import lazy_exports
+
+#: Names of the packaged dispatch scenarios, in registry order (see
+#: :data:`repro.generators.scenarios.SCENARIOS`).  Defined here, where
+#: importing it builds no graph, so the CLI parser can offer them as choices
+#: without loading NumPy.
+SCENARIO_NAMES = ("ride-hailing", "ad-slots", "task-routing")
 
 __all__ = [
     "uniform_random_bipartite",
@@ -78,6 +45,7 @@ __all__ = [
     "row_capacities",
     "col_capacities",
     "SCENARIOS",
+    "SCENARIO_NAMES",
     "Scenario",
     "generate_scenario",
     "scenario_names",
@@ -88,3 +56,34 @@ __all__ = [
     "instance_names",
     "materialize_instance",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".mesh": ("delaunay_like_graph", "grid_graph", "road_network_graph"),
+    ".powerlaw": ("chung_lu_bipartite", "power_law_web_graph"),
+    ".random_bipartite": ("perfect_matching_plus_noise", "uniform_random_bipartite"),
+    ".rmat": ("kronecker_graph", "rmat_bipartite"),
+    ".suite": (
+        "SUITE_SPECS",
+        "SuiteInstance",
+        "generate_instance",
+        "generate_suite",
+        "instance_names",
+        "materialize_instance",
+    ),
+    ".capacities": (
+        "apply_capacity_spec",
+        "col_capacities",
+        "fixed_capacities",
+        "row_capacities",
+        "uniform_capacities",
+    ),
+    ".scenarios": ("SCENARIOS", "Scenario", "generate_scenario", "scenario_names"),
+    ".trace": ("bubbles_graph", "trace_graph"),
+    ".updates": ("random_update_trace", "suite_update_workload"),
+    ".weights": (
+        "apply_weight_spec",
+        "geometric_weights",
+        "rank_correlated_weights",
+        "uniform_weights",
+    ),
+})

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dynamic.updates import GraphUpdate
+from repro.generators import SCENARIO_NAMES
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import from_edges
 
@@ -217,17 +218,18 @@ def _pick_cols(rng, n_cols: int, k: int, excluded: set[int]) -> list[int]:
     return sorted(available[int(i)] for i in picked)
 
 
-#: Registry of scenario recipes, keyed by CLI name.
-SCENARIOS = {
-    "ride-hailing": ride_hailing_scenario,
-    "ad-slots": ad_slot_scenario,
-    "task-routing": task_routing_scenario,
-}
+#: Registry of scenario recipes, keyed by CLI name (in
+#: :data:`repro.generators.SCENARIO_NAMES` order).
+SCENARIOS = dict(zip(
+    SCENARIO_NAMES,
+    (ride_hailing_scenario, ad_slot_scenario, task_routing_scenario),
+    strict=True,
+))
 
 
 def scenario_names() -> list[str]:
     """The registered scenario names, in registry order."""
-    return list(SCENARIOS)
+    return list(SCENARIO_NAMES)
 
 
 def generate_scenario(name: str, seed: int = 0) -> Scenario:

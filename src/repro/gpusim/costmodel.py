@@ -33,10 +33,21 @@ resident on the device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["KernelStats", "CostLedger", "GpuCostModel", "CpuCostModel", "MulticoreCostModel"]
+if TYPE_CHECKING:
+    from repro.matching import MatchingResult
+
+__all__ = [
+    "KernelStats",
+    "CostLedger",
+    "GpuCostModel",
+    "CpuCostModel",
+    "MulticoreCostModel",
+    "modeled_seconds_for",
+]
 
 
 @dataclass(frozen=True)
@@ -189,6 +200,26 @@ class CpuCostModel:
     def seconds(self, total_ops: float) -> float:
         """Modelled seconds for ``total_ops`` elementary operations."""
         return float(total_ops) * self.cycles_per_op / (self.clock_ghz * 1e9)
+
+
+_CPU_MODEL = CpuCostModel()
+
+#: Counter keys that constitute "work" for the sequential cost model.
+_SEQ_WORK_KEYS = ("edges_scanned", "gr_edges_scanned", "relabels")
+
+
+def modeled_seconds_for(result: MatchingResult) -> float:
+    """Modelled seconds of a result, deriving them for CPU algorithms.
+
+    GPU and multicore algorithms carry their own cost-model time; sequential
+    algorithms report work counters that are converted with the CPU model.
+    """
+    if result.modeled_time is not None:
+        return float(result.modeled_time)
+    work = sum(float(result.counters.get(key, 0.0)) for key in _SEQ_WORK_KEYS)
+    if work == 0.0:
+        work = float(result.counters.get("kernel_total_work", 0.0))
+    return _CPU_MODEL.seconds(work)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,6 @@ __all__ = [
 ]
 
 
-def _strictly_col_major(rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether the pairs are strictly (col, row)-sorted, hence also unique."""
-    col_steps = np.diff(cols)
-    return bool(((col_steps > 0) | ((col_steps == 0) & (np.diff(rows) > 0))).all())
-
-
 def _csr_from_pairs(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -40,7 +34,16 @@ def _csr_from_pairs(
 
     ``weights`` (one entry per input pair) comes back deduplicated in
     column-CSR order; parallel edges keep the maximum weight.
+
+    Each pair is encoded as one int64 key (``col * n_rows + row`` for the
+    column side, ``row * n_cols + col`` for the row side), so a plain sort
+    orders and groups the pairs; this needs ``n_rows * n_cols < 2**63``.
     """
+    if n_rows * n_cols >= 2**63:
+        raise ValueError(
+            f"graph shape {n_rows} x {n_cols} is too large: "
+            "n_rows * n_cols must be below 2**63"
+        )
     if len(rows) == 0:
         col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
         row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
@@ -48,41 +51,32 @@ def _csr_from_pairs(
         out_weights = np.empty(0, dtype=np.float64) if weights is not None else None
         return col_ptr, empty, row_ptr, empty.copy(), out_weights
 
-    out_weights = None
-    if _strictly_col_major(rows, cols):
-        # The canonicalising sort would be a no-op: files written by
-        # write_matrix_market list their entries in this order.
-        if weights is not None:
-            out_weights = np.array(weights, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    key = cols * n_rows + rows
+    if weights is None:
+        key = np.sort(key)
     else:
-        # Deduplicate: sort by (col, row) lexicographically and drop repeats.
-        order = np.lexsort((rows, cols))
-        rows = rows[order]
-        cols = cols[order]
-        keep = np.empty(len(rows), dtype=bool)
-        keep[0] = True
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        if weights is not None:
-            # Reduce each run of duplicates to its maximum weight.
-            out_weights = np.maximum.reduceat(
-                np.asarray(weights, dtype=np.float64)[order], np.flatnonzero(keep)
-            )
-        rows = rows[keep]
-        cols = cols[keep]
+        # The stable order keeps duplicates in input order, as the
+        # reduction below has always seen them.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = np.asarray(weights, dtype=np.float64)[order]
+    keep = np.empty(len(key), dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    out_weights = None
+    if weights is not None:
+        # Reduce each run of duplicates to its maximum weight.
+        out_weights = np.maximum.reduceat(weights, np.flatnonzero(keep))
+    cols, col_ind = np.divmod(key[keep], n_rows)
 
-    col_counts = np.bincount(cols, minlength=n_cols)
     col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(col_counts, out=col_ptr[1:])
-    col_ind = rows.copy()  # already grouped by column, rows sorted within each column
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=col_ptr[1:])
 
-    # Transposed CSR (rows -> columns): resort by (row, col).
-    order_t = np.lexsort((cols, rows))
-    rows_t = rows[order_t]
-    cols_t = cols[order_t]
-    row_counts = np.bincount(rows_t, minlength=n_rows)
+    rows_t, row_ind = np.divmod(np.sort(col_ind * n_cols + cols), n_cols)
     row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=row_ptr[1:])
-    row_ind = cols_t
+    np.cumsum(np.bincount(rows_t, minlength=n_rows), out=row_ptr[1:])
 
     return col_ptr, col_ind, row_ptr, row_ind, out_weights
 

@@ -29,9 +29,7 @@ Quickstart
 True
 """
 
-from repro.service.cache import DiskCache, ResultCache
-from repro.service.jobs import BatchReport, JobResult, MatchingJob
-from repro.service.service import MatchingService, execute_job
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchReport",
@@ -42,3 +40,9 @@ __all__ = [
     "ResultCache",
     "execute_job",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("DiskCache", "ResultCache"),
+    ".jobs": ("BatchReport", "JobResult", "MatchingJob"),
+    ".service": ("MatchingService", "execute_job"),
+})

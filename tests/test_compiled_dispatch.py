@@ -160,6 +160,48 @@ def test_ghkdw_counter_golden_parity(graph):
     _assert_results_identical(base, twin)
 
 
+class _WorkRecorder:
+    """Stands in for the device: keeps each launch's thread-work vector."""
+
+    def __init__(self):
+        self.launches = []
+
+    def charge_kernel(self, name, thread_work):
+        self.launches.append(np.asarray(thread_work, dtype=np.float64))
+
+
+def test_ghkdw_correction_sweep_matches_twin(graph):
+    # The correction sweep (fresh claims per thread, no level restriction)
+    # only runs when both claim-based kernels are blocked, which no suite
+    # run reaches; drive it directly from a half-dropped cheap matching.
+    from repro.compiled.kernels_jit import ghkdw_augment
+    from repro.core.ghkdw import _INF, _augment_phase
+
+    matching = cheap_matching(graph).matching
+    mu_row, mu_col = matching.row_match.copy(), matching.col_match.copy()
+    dropped = np.flatnonzero(mu_col >= 0)[::2]
+    mu_row[mu_col[dropped]] = -1
+    mu_col[dropped] = -1
+    level = np.full(graph.n_cols, _INF, dtype=np.int64)
+    twin_row, twin_col = mu_row.copy(), mu_col.copy()
+
+    recorder = _WorkRecorder()
+    with dispatch.override(False):
+        augmented = _augment_phase(
+            graph, mu_row, mu_col, level, recorder, False, "ghkdw-correction",
+            shared_claims=False, use_level=False,
+        )
+    twin_work, twin_augmented = ghkdw_augment.py_func(
+        graph.col_ptr, graph.col_ind, twin_row, twin_col, level,
+        np.flatnonzero(twin_col == -1), False, False, False, graph.n_rows,
+    )
+    assert augmented == int(twin_augmented) > 0
+    np.testing.assert_array_equal(mu_row, twin_row)
+    np.testing.assert_array_equal(mu_col, twin_col)
+    (work,) = recorder.launches
+    np.testing.assert_array_equal(work, twin_work)
+
+
 # ----------------------------------------------------------------- dispatch
 def test_implementation_for_none_when_disabled():
     with dispatch.override(False):

@@ -249,8 +249,7 @@ def test_matrix_market_out_of_range_numbers_name_the_line(tmp_path, capsys, body
 
 # ------------------------------------------------------------ edge weights
 def test_from_edges_sorted_input_matches_shuffled_input():
-    # Pairs already in strict (col, row) order skip the canonicalising sort;
-    # the result must be bit-identical to building from any other order,
+    # The CSR must be bit-identical whatever order the pairs come in,
     # duplicates (kept at their maximum weight) included.
     rng = np.random.default_rng(12)
     graph = uniform_random_bipartite(50, 40, avg_degree=4.0, seed=13)
@@ -288,6 +287,32 @@ def test_from_edges_sorted_input_matches_shuffled_input():
     bare = from_edges(edges, n_rows=50, n_cols=40)
     assert bare.content_hash() == graph.content_hash()
     assert from_edges(edges[::-1], n_rows=50, n_cols=40).content_hash() == graph.content_hash()
+
+    # Weighted duplicates in shuffled order: the heavier copy wins.
+    heavier = np.concatenate([weights, weights[dup] + 1.0])
+    mixed = rng.permutation(len(heavier))
+    heavy = from_edges(
+        np.concatenate([edges, edges[dup]])[mixed], n_rows=50, n_cols=40,
+        weights=heavier[mixed],
+    )
+    expected = weights.copy()
+    expected[dup] += 1.0
+    np.testing.assert_array_equal(heavy.col_ind, reference.col_ind)
+    np.testing.assert_array_equal(heavy.row_ind, reference.row_ind)
+    np.testing.assert_array_equal(heavy.weights, expected)
+
+    # Empty input, with and without weights.
+    for empty in (
+        from_edges(np.empty((0, 2), dtype=np.int64), n_rows=50, n_cols=40),
+        from_edges([], n_rows=50, n_cols=40, weights=[]),
+    ):
+        np.testing.assert_array_equal(empty.col_ptr, np.zeros(41, dtype=np.int64))
+        np.testing.assert_array_equal(empty.row_ptr, np.zeros(51, dtype=np.int64))
+        assert empty.n_edges == 0
+
+    # One int64 key per pair needs n_rows * n_cols < 2**63.
+    with pytest.raises(ValueError, match="too large"):
+        from_edges([(0, 0)], n_rows=2**32, n_cols=2**31)
 
 
 def test_from_edges_weights_deduplicate_to_maximum():
